@@ -31,7 +31,6 @@ from .grid import (
 )
 from .losses import (
     LossConfig,
-    MimeWeights,
     ce_grad,
     ce_loss,
     combined_loss,

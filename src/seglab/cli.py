@@ -28,10 +28,7 @@ A null dataset seed is derived from the run seed.  The flags --loss, --opt,
 
 One run seed drives four independent streams (dataset, weight init, batch
 shuffling, augmentation), so a fixed config reproduces every artifact byte for
-byte.  SEGLAB_THREADS caps the number of worker threads used to evaluate the
-samples of a batch; the gradient reduction order is fixed by sample index, so
-results do not depend on the thread count.  Artifacts never embed absolute
-paths.
+byte.  Artifacts never embed absolute paths.
 
 Artifacts per training run: ``val_dsc.csv`` (header
 ``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
@@ -42,10 +39,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +97,8 @@ AUDIT_TRIALS = 25
 AUDIT_TOLERANCE = 1e-5
 
 _OPT_FIELDS = ("eta", "lam", "momentum", "weight_decay", "beta1", "beta2", "adam_eps")
+_CONFIG_KEYS = ("dataset", "loss", "optimizer", "epochs", "batch_size", "seed", "augment", "output_dir")
+_DATASET_KEYS = tuple(f.name for f in fields(DatasetSpec))
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,7 @@ class ExperimentConfig:
             raise ConfigError(f"mime weights must be positive, got a={self.mime_a}, b={self.mime_b}")
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(
-            lambda_weights=self.loss_terms, mime_a=self.mime_a, mime_b=self.mime_b
-        )
+        return LossConfig(mime_a=self.mime_a, mime_b=self.mime_b)
 
 
 @dataclass(frozen=True)
@@ -164,53 +159,67 @@ class RunResult:
     output_dir: Path
 
 
+def _reader(data, name: str, known: tuple[str, ...]):
+    """Reject unknown keys; return get(key, convert, default), which names a key convert() rejects."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {', '.join(map(repr, unknown))}; expected {', '.join(known)}")
+
+    def get(key: str, convert, default):
+        value = data.get(key, default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} key {key!r} has invalid value {value!r}: {exc}") from exc
+
+    return get
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated ExperimentConfig from the JSON schema above."""
-    ds = dict(data.get("dataset", {}))
+    """Build a validated ExperimentConfig from the JSON schema above; bad keys raise ConfigError."""
+    get = _reader(data, "config", _CONFIG_KEYS)
+    ds = _reader(data.get("dataset", {}), "dataset", _DATASET_KEYS)
     dataset = DatasetSpec(
-        kind=ds.get("kind", "acdc_like"),
-        image_size=tuple(ds.get("image_size", (64, 64))),
-        train=int(ds.get("train", 500)),
-        val=int(ds.get("val", 50)),
-        test=int(ds.get("test", 100)),
-        noise_sigma=float(ds.get("noise_sigma", 0.03)),
-        seed=None if ds.get("seed") is None else int(ds["seed"]),
+        kind=ds("kind", str, "acdc_like"),
+        image_size=ds("image_size", lambda v: tuple(int(d) for d in v), (64, 64)),
+        train=ds("train", int, 500),
+        val=ds("val", int, 50),
+        test=ds("test", int, 100),
+        noise_sigma=ds("noise_sigma", float, 0.03),
+        seed=ds("seed", lambda v: None if v is None else int(v), None),
     )
     loss = data.get("loss", {"kind": "dice"})
-    if isinstance(loss, str):
-        loss = {"kind": loss}
-    kind = loss.get("kind", "dice")
-    mime_a = float(loss.get("a", 1.9))
-    mime_b = float(loss.get("b", 0.1))
+    loss = _reader({"kind": loss} if isinstance(loss, str) else loss, "loss", ("kind", "a", "b", "terms"))
+    kind = loss("kind", str, "dice")
     if kind == "combined":
-        raw_terms = loss.get("terms")
-        if not raw_terms:
+        terms = loss("terms", lambda v: tuple((str(lid), float(lam)) for lid, lam in v), ())
+        if not terms:
             raise ConfigError('combined loss needs a non-empty "terms" list')
-        terms = tuple((str(t[0]), float(t[1])) for t in raw_terms)
     elif kind in LOSS_IDS:
         terms = ((kind, 1.0),)
     else:
         raise ConfigError(f"unknown loss kind {kind!r}")
     opt = data.get("optimizer", {"kind": "adam"})
-    if isinstance(opt, str):
-        opt = {"kind": opt}
+    opt = {"kind": opt} if isinstance(opt, str) else opt
+    opt_get = _reader(opt, "optimizer", ("kind", *_OPT_FIELDS))
     optimizer = replace(
-        default_optimizer_config(opt.get("kind", "adam")),
-        **{k: float(opt[k]) for k in _OPT_FIELDS if k in opt},
+        default_optimizer_config(opt_get("kind", str, "adam")),
+        **{k: opt_get(k, float, None) for k in _OPT_FIELDS if k in opt},
     )
-    out = data.get("output_dir")
     return ExperimentConfig(
         dataset=dataset,
         loss_kind=kind,
         loss_terms=terms,
-        mime_a=mime_a,
-        mime_b=mime_b,
+        mime_a=loss("a", float, 1.9),
+        mime_b=loss("b", float, 0.1),
         optimizer=optimizer,
-        epochs=int(data.get("epochs", 60)),
-        batch_size=int(data.get("batch_size", 1)),
-        seed=int(data.get("seed", 0)),
-        augment=bool(data.get("augment", False)),
-        output_dir=Path(out) if out else None,
+        epochs=get("epochs", int, 60),
+        batch_size=get("batch_size", int, 1),
+        seed=get("seed", int, 0),
+        augment=get("augment", bool, False),
+        output_dir=get("output_dir", lambda v: Path(v) if v else None, None),
     )
 
 
@@ -277,14 +286,6 @@ def _resolved_dataset(cfg: ExperimentConfig, streams: _Streams) -> DatasetSpec:
     return replace(cfg.dataset, seed=streams.dataset_seed)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SEGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"SEGLAB_THREADS must be an integer, got {raw!r}") from exc
-
-
 def _sample_loss_grad(
     net: SegNet,
     sample: Sample,
@@ -296,19 +297,6 @@ def _sample_loss_grad(
     value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
     grad_z = softmax_backward(probs, grad_s)
     return value, backward(net, cache, grad_z)
-
-
-def _batch_eval(
-    net: SegNet,
-    batch: list[Sample],
-    terms: tuple[tuple[str, float], ...],
-    lcfg: LossConfig,
-    threads: int,
-) -> list[tuple[float, np.ndarray]]:
-    if threads <= 1 or len(batch) <= 1:
-        return [_sample_loss_grad(net, sample, terms, lcfg) for sample in batch]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda smp: _sample_loss_grad(net, smp, terms, lcfg), batch))
 
 
 def _validation_dsc(net: SegNet, samples: list[Sample]) -> np.ndarray:
@@ -370,7 +358,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     net = SegNet(spec.classes, seed=streams.init_seed)
     lcfg = cfg.loss_config()
-    threads = _thread_count()
     momentum_state = MomentumState.fresh(net.param_count)
     adam_state = AdamState.fresh(net.param_count)
     scheduler = SchedulerState(patience=SCHEDULER_PATIENCE, current_eta=cfg.optimizer.eta)
@@ -389,7 +376,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             if cfg.augment:
                 batch = [augment(s, int(streams.augment.integers(0, 2**63))) for s in batch]
-            results = _batch_eval(net, batch, cfg.loss_terms, lcfg, threads)
+            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg) for s in batch]
             batch_loss = float(np.mean([value for value, _ in results]))
             if not np.isfinite(batch_loss):
                 raise TrainingAbortError(

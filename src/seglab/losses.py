@@ -15,20 +15,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .grid import (
-    ClassOverlapStats,
-    GradientMap,
-    GridShape,
-    ClassSet,
-    LabelMap,
-    ProbabilityMap,
-    overlap_stats,
-    require_same_grid,
-)
+from .grid import GradientMap, LabelMap, ProbabilityMap, overlap_stats, require_same_grid
 
 __all__ = [
     "LossConfig",
-    "MimeWeights",
+    "LOSSES",
     "LOSS_IDS",
     "dice_loss",
     "dice_grad",
@@ -46,47 +37,22 @@ __all__ = [
 # outputs can underflow to 0 at extreme logits.
 CE_CLAMP = 1e-12
 
-LOSS_IDS = ("ce", "dice", "mime", "nm")
-
 
 @dataclass(frozen=True)
 class LossConfig:
     """Shared loss settings.
 
-    epsilon guards every dice denominator (loss and gradient alike).
-    lambda_weights optionally stores a loss combination as (loss id, weight)
-    pairs; mime_a / mime_b parameterize the mime weight map used whenever a
-    "mime" term appears in a combination.
+    epsilon guards every dice denominator (loss and gradient alike);
+    mime_a / mime_b parameterize the mime weight map.
     """
 
     epsilon: float = 1e-8
-    lambda_weights: tuple[tuple[str, float], ...] | None = None
     mime_a: float = 1.9
     mime_b: float = 0.1
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.lambda_weights is not None:
-            terms = tuple((str(lid), float(w)) for lid, w in self.lambda_weights)
-            object.__setattr__(self, "lambda_weights", terms)
-
-
-@dataclass(frozen=True, eq=False)
-class MimeWeights:
-    """Precomputed linear weight map: -a on foreground, +b on background."""
-
-    shape: GridShape
-    classes: ClassSet
-    weight_map: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.weight_map, dtype=np.float64)
-        expected = (self.classes.total, self.shape.pixel_count)
-        if arr.shape != expected:
-            raise ValidationError(f"weight map shape {arr.shape} != {expected}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "weight_map", arr)
 
 
 def dice_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
@@ -112,7 +78,7 @@ def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) ->
     return GradientMap(y.shape, y.classes, values)
 
 
-def ce_loss(y: LabelMap, s: ProbabilityMap) -> float:
+def ce_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
     """Cross-entropy averaged over classes and pixels."""
     require_same_grid(y, s)
     norm = y.classes.total * y.shape.pixel_count
@@ -120,7 +86,7 @@ def ce_loss(y: LabelMap, s: ProbabilityMap) -> float:
     return float(-(y.values * np.log(safe)).sum() / norm)
 
 
-def ce_grad(y: LabelMap, s: ProbabilityMap) -> GradientMap:
+def ce_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """Cross-entropy gradient: -y / (|classes| |pixels| s), zero off the labels."""
     require_same_grid(y, s)
     norm = y.classes.total * y.shape.pixel_count
@@ -128,38 +94,42 @@ def ce_grad(y: LabelMap, s: ProbabilityMap) -> GradientMap:
     return GradientMap(y.shape, y.classes, values)
 
 
-def mime_weights(y: LabelMap, a: float, b: float) -> MimeWeights:
-    """Weight map omega = -a*y + b*(1 - y) with a, b > 0."""
+def mime_weights(y: LabelMap, a: float, b: float) -> np.ndarray:
+    """Weight map omega = -a*y + b*(1 - y) with a, b > 0, shaped like y.values."""
     if not (a > 0 and b > 0):
         raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
-    values = -a * y.values + b * (1.0 - y.values)
-    return MimeWeights(y.shape, y.classes, values)
+    return -a * y.values + b * (1.0 - y.values)
 
 
-def mime_loss(s: ProbabilityMap, w: MimeWeights) -> float:
+def mime_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
     """Inner product of the flattened weight map with the probabilities."""
-    if s.shape != w.shape or s.classes != w.classes:
-        raise ValidationError(
-            f"grid/class mismatch: {s.shape.dims} vs {w.shape.dims} "
-            f"({s.classes.total} vs {w.classes.total} classes)"
-        )
-    return float(np.vdot(w.weight_map, s.values))
+    require_same_grid(y, s)
+    return float(np.vdot(mime_weights(y, cfg.mime_a, cfg.mime_b), s.values))
 
 
-def mime_grad(w: MimeWeights) -> GradientMap:
+def mime_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """The mime gradient is the weight map itself, independent of s."""
-    return GradientMap(w.shape, w.classes, w.weight_map)
+    return GradientMap(y.shape, y.classes, mime_weights(y, cfg.mime_a, cfg.mime_b))
 
 
-def nm_loss(y: LabelMap, s: ProbabilityMap) -> float:
+def nm_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
     """Fully simplified linear loss -y.s; safe for training only when K >= 2."""
     require_same_grid(y, s)
     return float(-np.vdot(y.values, s.values))
 
 
-def nm_grad(y: LabelMap) -> GradientMap:
+def nm_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """Gradient of nm_loss: exactly -y."""
     return GradientMap(y.shape, y.classes, -y.values)
+
+
+LOSSES = {
+    "ce": (ce_loss, ce_grad),
+    "dice": (dice_loss, dice_grad),
+    "mime": (mime_loss, mime_grad),
+    "nm": (nm_loss, nm_grad),
+}
+LOSS_IDS = tuple(LOSSES)
 
 
 def combined_loss(
@@ -175,21 +145,9 @@ def combined_loss(
     total = 0.0
     grad = np.zeros((y.classes.total, y.shape.pixel_count))
     for loss_id, lam in terms:
-        if loss_id == "dice":
-            value = dice_loss(y, s, cfg)
-            g = dice_grad(y, s, cfg).values
-        elif loss_id == "ce":
-            value = ce_loss(y, s)
-            g = ce_grad(y, s).values
-        elif loss_id == "mime":
-            w = mime_weights(y, cfg.mime_a, cfg.mime_b)
-            value = mime_loss(s, w)
-            g = w.weight_map
-        elif loss_id == "nm":
-            value = nm_loss(y, s)
-            g = -y.values
-        else:
+        if loss_id not in LOSSES:
             raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
-        total += lam * value
-        grad = grad + lam * g
+        value_fn, grad_fn = LOSSES[loss_id]
+        total += lam * value_fn(y, s, cfg)
+        grad = grad + lam * grad_fn(y, s, cfg).values
     return total, GradientMap(y.shape, y.classes, grad)

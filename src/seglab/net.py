@@ -41,6 +41,8 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "seglab-checkpoint-v1"
 
+_HEADER_INT_MIN = {"param_count": 1, "classes_total": 2, "hidden_channels": 1, "seed": 0}
+
 # Subtracted from input images before the first convolution.
 INPUT_CENTER = 0.5
 
@@ -258,15 +260,25 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
-    """Rebuild a SegNet from a checkpoint file; returns (net, header)."""
+    """Rebuild a SegNet from a checkpoint file; returns (net, header).
+
+    A malformed header or a short parameter block raises ValidationError.
+    """
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+            raise ValidationError(f"unreadable checkpoint header in {path}: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValidationError(f"unrecognized checkpoint format in {path}")
+        for key, least in _HEADER_INT_MIN.items():
+            value = header.get(key)
+            if type(value) is not int or value < least:
+                raise ValidationError(f"{path}: checkpoint {key} must be an int >= {least}, not {value!r}")
         block = f.read(header["param_count"] * 8)
-    theta = np.frombuffer(block, dtype="<f8")
-    if theta.size != header["param_count"]:
+    if len(block) != header["param_count"] * 8:
         raise ValidationError(f"truncated parameter block in {path}")
+    theta = np.frombuffer(block, dtype="<f8")
     net = SegNet(
         ClassSet(header["classes_total"] - 1),
         seed=header["seed"],

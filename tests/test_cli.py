@@ -281,3 +281,45 @@ class TestCliCommands:
             paths.append(str(write_config(tmp_path, tiny_config(loss=loss, epochs=1), f"{loss}.json")))
         assert main(["compare", "--configs", *paths, "--out", str(tmp_path / "cmp")]) == 0
         assert (tmp_path / "cmp" / "comparison.csv").exists()
+
+
+class TestBadInput:
+    """Bad input ends as exit code 2 with one error line, never a traceback."""
+
+    @staticmethod
+    def single_error_line(capsys) -> str:
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"epochs": "ten"}, "epochs"),
+            ({"dataset": TINY_DATASET | {"image_size": 5}}, "image_size"),
+            ({"epoch": 1, "datset": dict(TINY_DATASET)}, "epoch"),
+            ({"loss": {"kind": "dice", "wieght": 2}}, "wieght"),
+        ],
+        ids=["epochs_not_int", "image_size_not_list", "misspelled_keys", "misspelled_loss_key"],
+    )
+    def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
+        cfg_path = write_config(tmp_path, tiny_config(epochs=0, output_dir=str(tmp_path / "run")) | change)
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert repr(key) in self.single_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+
+    def test_misspelled_keys_rejected_before_defaults_apply(self):
+        with pytest.raises(ConfigError, match="'datset', 'epoch'"):
+            config_from_dict({"epoch": 1, "datset": dict(TINY_DATASET)})
+
+    @pytest.mark.parametrize(
+        "content",
+        [np.random.default_rng(0).bytes(300), b'{"format": "seglab-checkpoint-v1"}\n'],
+        ids=["random_bytes", "header_without_keys"],
+    )
+    def test_bad_checkpoint_exit_code(self, tmp_path, capsys, content):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(content)
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        self.single_error_line(capsys)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from seglab.errors import ConfigError, ValidationError
+from seglab.gradcheck import finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.losses import (
+    LOSSES,
     LossConfig,
     ce_grad,
     ce_loss,
@@ -171,13 +173,13 @@ class TestMime:
         # omega = -2y + 0.1 rewritten as a=1.9, b=0.1
         y = one_hot(np.array([1, 0, 0]), ClassSet(1))
         w = mime_weights(y, a=1.9, b=0.1)
-        assert np.allclose(w.weight_map[1], [-1.9, 0.1, 0.1])
-        assert np.allclose(w.weight_map[0], [0.1, -1.9, -1.9])
+        assert np.allclose(w[1], [-1.9, 0.1, 0.1])
+        assert np.allclose(w[0], [0.1, -1.9, -1.9])
 
     def test_symmetric_weights(self):
         y = one_hot(np.array([1, 0]), ClassSet(1))
         w = mime_weights(y, a=1.0, b=1.0)
-        assert np.array_equal(w.weight_map, 1.0 - 2.0 * y.values)
+        assert np.array_equal(w, 1.0 - 2.0 * y.values)
 
     def test_rejects_non_positive_weights(self):
         y = one_hot(np.array([0]), ClassSet(1))
@@ -188,24 +190,24 @@ class TestMime:
     def test_worked_inner_product(self):
         # one pixel, three classes, true class 0: omega = [-1.9, 0.1, 0.1]
         y = one_hot(np.array([0]), ClassSet(2))
-        w = mime_weights(y, 1.9, 0.1)
+        cfg = LossConfig(mime_a=1.9, mime_b=0.1)
         s = ProbabilityMap(GridShape((1,)), ClassSet(2), np.array([[0.8], [0.1], [0.1]]))
-        assert mime_loss(s, w) == pytest.approx(-1.50, rel=1e-12)
+        assert mime_loss(y, s, cfg) == pytest.approx(-1.50, rel=1e-12)
 
     def test_zero_probabilities_give_zero(self):
         y = one_hot(np.array([0, 1]), ClassSet(1))
-        w = mime_weights(y, 1.9, 0.1)
+        cfg = LossConfig(mime_a=1.9, mime_b=0.1)
         s = ProbabilityMap(GridShape((2,)), ClassSet(1), np.zeros((2, 2)))
-        assert mime_loss(s, w) == 0.0
+        assert mime_loss(y, s, cfg) == 0.0
 
     def test_gradient_is_exactly_the_weight_map(self):
         rng = np.random.default_rng(7)
         y, s = random_instance(rng)
         w = mime_weights(y, 1.9, 0.1)
-        assert np.array_equal(mime_grad(w).values, w.weight_map)
+        assert np.array_equal(mime_grad(y, s, LossConfig(mime_a=1.9, mime_b=0.1)).values, w)
         # independent of s: combined gradient for a mime term equals omega
         _, g = combined_loss([("mime", 1.0)], y, s, LossConfig())
-        assert np.array_equal(g.values, w.weight_map)
+        assert np.array_equal(g.values, w)
 
 
 class TestNm:
@@ -224,9 +226,26 @@ class TestNm:
     def test_gradient_is_exactly_negative_labels(self):
         rng = np.random.default_rng(9)
         y, s = random_instance(rng)
-        assert np.array_equal(nm_grad(y).values, -y.values)
+        assert np.array_equal(nm_grad(y, s).values, -y.values)
         _, g = combined_loss([("nm", 1.0)], y, s, LossConfig())
         assert np.array_equal(g.values, -y.values)
+
+
+class TestLossTable:
+    @pytest.mark.parametrize("loss_id, pair", LOSSES.items(), ids=list(LOSSES))
+    def test_gradient_matches_finite_differences(self, loss_id, pair):
+        value_fn, grad_fn = pair
+        # non-default mime weights show the entry reads cfg
+        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 5:
+            y, s = random_instance(rng, max_pixels=24)
+            if y.classes.count_objects < 2:
+                continue
+            numeric = finite_diff_grad(lambda p: value_fn(y, p, cfg), s)
+            assert max_relative_error(grad_fn(y, s, cfg), numeric) < 1e-5
+            checked += 1
 
 
 class TestCombined:

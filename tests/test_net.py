@@ -249,6 +249,27 @@ class TestParamsAndCheckpoint:
         net = make_net()
         path = save_checkpoint(tmp_path / "net.ckpt", net, epoch=0)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
+        for cut in (16, 3):  # whole and partial float64 values missing
+            path.write_bytes(raw[:-cut])
+            with pytest.raises(ValidationError):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"\xff\xfe not utf-8\n",
+            b"{not json\n",
+            b'["seglab-checkpoint-v1"]\n',
+            b'{"format": "seglab-checkpoint-v1"}\n',
+            b'{"format": "seglab-checkpoint-v1", "param_count": "ten", "classes_total": 3, '
+            b'"hidden_channels": 8, "seed": 0}\n',
+            b'{"format": "seglab-checkpoint-v1", "param_count": 100, "classes_total": 3, '
+            b'"hidden_channels": 0, "seed": 0}\n',
+        ],
+        ids=["not_utf8", "not_json", "not_object", "missing_keys", "wrong_type", "zero_hidden"],
+    )
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + bytes(800))
         with pytest.raises(ValidationError):
             load_checkpoint(path)
