@@ -34,6 +34,7 @@ from .losses import (
     ce_grad,
     ce_loss,
     combined_loss,
+    combined_value,
     dice_grad,
     dice_loss,
     mime_grad,

@@ -59,7 +59,7 @@ from .gradcheck import (
     max_relative_error,
 )
 from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
-from .losses import LOSS_IDS, LossConfig, combined_loss, dice_grad
+from .losses import LOSS_IDS, LossConfig, combined_loss, combined_value, dice_grad
 from .metrics import argmax_predict, dsc, evaluate_sample
 from .net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
 from .optim import (
@@ -180,18 +180,33 @@ def _reader(data, name: str, known: tuple[str, ...]):
     return get
 
 
+def _as_int(value) -> int:
+    """A JSON integer, or a float without a fractional part; booleans are not integers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("expected an integer")
+    return value
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from the JSON schema above; bad keys raise ConfigError."""
     get = _reader(data, "config", _CONFIG_KEYS)
     ds = _reader(data.get("dataset", {}), "dataset", _DATASET_KEYS)
     dataset = DatasetSpec(
         kind=ds("kind", str, "acdc_like"),
-        image_size=ds("image_size", lambda v: tuple(int(d) for d in v), (64, 64)),
-        train=ds("train", int, 500),
-        val=ds("val", int, 50),
-        test=ds("test", int, 100),
+        image_size=ds("image_size", lambda v: tuple(_as_int(d) for d in v), (64, 64)),
+        train=ds("train", _as_int, 500),
+        val=ds("val", _as_int, 50),
+        test=ds("test", _as_int, 100),
         noise_sigma=ds("noise_sigma", float, 0.03),
-        seed=ds("seed", lambda v: None if v is None else int(v), None),
+        seed=ds("seed", lambda v: None if v is None else _as_int(v), None),
     )
     loss = data.get("loss", {"kind": "dice"})
     loss = _reader({"kind": loss} if isinstance(loss, str) else loss, "loss", ("kind", "a", "b", "terms"))
@@ -218,10 +233,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         mime_a=loss("a", float, 1.9),
         mime_b=loss("b", float, 0.1),
         optimizer=optimizer,
-        epochs=get("epochs", int, 60),
-        batch_size=get("batch_size", int, 1),
-        seed=get("seed", int, 0),
-        augment=get("augment", bool, False),
+        epochs=get("epochs", _as_int, 60),
+        batch_size=get("batch_size", _as_int, 1),
+        seed=get("seed", _as_int, 0),
+        augment=get("augment", _as_bool, False),
         output_dir=get("output_dir", lambda v: Path(v) if v else None, None),
     )
 
@@ -559,9 +574,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
         for _ in range(AUDIT_TRIALS):
             labels, probs = _random_audit_instance(rng)
             _, analytic = combined_loss(terms, labels, probs, lcfg)
-            numeric = finite_diff_grad(
-                lambda p: combined_loss(terms, labels, p, lcfg)[0], probs
-            )
+            numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
             max_err = max(max_err, max_relative_error(analytic, numeric))
             if terms == (("dice", 1.0),):
                 violations += audit_bound(

@@ -1,7 +1,10 @@
 """Independent gradient verification and analysis.
 
 The finite-difference oracle never calls any analytic gradient code; it only
-re-evaluates the forward loss at perturbed probabilities.  The audits quantify
+re-evaluates the forward loss at perturbed probabilities.  It hands the loss
+raw float64 stacks of probes shaped ``(n, classes.total, pixel_count)``, at
+most ``PROBE_BLOCK`` elements each, and expects ``n`` values back, so one call
+evaluates many probes in one array pass.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
 values per class plane, magnitudes below 2/(U + eps) per class (after the
 1/|classes| averaging), and a narrow dynamic range.
@@ -22,11 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
-from .grid import ClassOverlapStats, GradientMap, ProbabilityMap
+from .grid import PROB_SLACK, ClassOverlapStats, GradientMap, ProbabilityMap
 from .imgio import write_pfm
 
 __all__ = [
     "FD_STEP",
+    "PROBE_BLOCK",
     "finite_diff_grad",
     "max_relative_error",
     "audit_two_valued",
@@ -38,35 +42,61 @@ __all__ = [
 
 FD_STEP = 1e-5
 
+# Elements in one stack of probes handed to the loss: 256 KB of float64, which
+# bounds the oracle's working memory whatever the size of the map.
+PROBE_BLOCK = 1 << 15
+
 # Absolute slack added to the per-class bound before counting a violation.
 BOUND_SLACK = 1e-12
 
 
 def finite_diff_grad(
-    loss_fn: Callable[[ProbabilityMap], float],
+    loss_fn: Callable[[np.ndarray], np.ndarray],
     s: ProbabilityMap,
     h: float = FD_STEP,
 ) -> GradientMap:
     """Central-difference gradient of a scalar loss with respect to s.
 
-    Each coordinate is perturbed by +/- h without clamping, so probes may exit
-    [0, 1] by h; the loss functions tolerate that much slack.
+    ``loss_fn`` takes a float64 stack of probes shaped (n, classes.total,
+    pixel_count) and returns their n loss values.  Each probe is s with one
+    coordinate moved to s_i + h or s_i - h, without clamping.  A stack holds
+    the +h probes, then the -h probes, of consecutive coordinates, and has at
+    most PROBE_BLOCK elements unless one coordinate's pair alone is larger.
+    Probes may leave [0, 1] by h; s +/- h must stay within the PROB_SLACK band
+    that ProbabilityMap accepts.  A non-finite or wrongly shaped result raises
+    OracleError naming the coordinate.
     """
     if not h > 0:
         raise ValidationError(f"step size must be positive, got {h}")
-    base = np.array(s.values)
-    grad = np.empty_like(base)
-    for idx in np.ndindex(base.shape):
-        orig = base[idx]
-        base[idx] = orig + h
-        hi = loss_fn(ProbabilityMap(s.shape, s.classes, base))
-        base[idx] = orig - h
-        lo = loss_fn(ProbabilityMap(s.shape, s.classes, base))
-        base[idx] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise OracleError(f"loss not finite at probe {idx}: {hi}, {lo}")
+    shape = s.values.shape
+    flat = s.values.reshape(-1)
+    if (flat - h).min() < -PROB_SLACK or (flat + h).max() > 1.0 + PROB_SLACK:
+        raise ValidationError(f"probes s +/- {h:g} leave [0, 1] by more than {PROB_SLACK:g}")
+    coords = max(1, PROBE_BLOCK // (2 * flat.size))
+    grad = np.empty(flat.size)
+    for start in range(0, flat.size, coords):
+        idx = np.arange(start, min(start + coords, flat.size))
+        n = idx.size
+        probes = np.tile(flat, (2 * n, 1))
+        probes[np.arange(n), idx] = flat[idx] + h
+        probes[np.arange(n, 2 * n), idx] = flat[idx] - h
+        values = np.asarray(loss_fn(probes.reshape(2 * n, *shape)), dtype=np.float64)
+        if values.shape != (2 * n,):
+            raise OracleError(
+                f"loss returned shape {values.shape} for {2 * n} probes starting at "
+                f"coordinate {_coord(start, shape)}; expected ({2 * n},)"
+            )
+        hi, lo = values[:n], values[n:]
+        bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+        if bad.size:
+            j = bad[0]
+            raise OracleError(f"loss not finite at probe {_coord(idx[j], shape)}: {hi[j]}, {lo[j]}")
         grad[idx] = (hi - lo) / (2.0 * h)
-    return GradientMap(s.shape, s.classes, grad)
+    return GradientMap(s.shape, s.classes, grad.reshape(shape))
+
+
+def _coord(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.unravel_index(flat_index, shape))
 
 
 def max_relative_error(analytic: GradientMap, numeric: GradientMap) -> float:

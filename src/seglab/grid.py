@@ -30,8 +30,11 @@ __all__ = [
     "PROB_SLACK",
 ]
 
-# Probability values may stray this far outside [0, 1] so that the
-# finite-difference oracle can probe losses at s +/- h without clamping.
+# Probability values may stray this far outside [0, 1].  The
+# finite-difference oracle probes losses at s +/- h without clamping, on raw
+# arrays, and requires every probe to stay within this band, so each probe is
+# a value a ProbabilityMap could hold and the losses see the same domain
+# through a map or a probe stack.
 PROB_SLACK = 1e-3
 
 
@@ -129,8 +132,8 @@ class LabelMap(_PlaneMap):
 class ProbabilityMap(_PlaneMap):
     """Predicted per-pixel class probabilities in [0, 1].
 
-    A small slack (``PROB_SLACK``) around the unit interval is tolerated so
-    that finite-difference probes of the losses remain constructible.
+    A small slack (``PROB_SLACK``) around the unit interval is tolerated; the
+    finite-difference oracle keeps its probes of the losses inside it.
     """
 
     def _check(self, arr: np.ndarray) -> None:

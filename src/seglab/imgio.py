@@ -6,10 +6,12 @@ scanlines stored bottom-to-top as in the common reference readers.
 PGM: binary "P5" with maxval 65535, two bytes per pixel, most significant
 byte first.
 
-Both readers accept only what the writers here produce (no comment lines).
+Both readers accept only what the writers here produce (no comment lines, no
+trailing bytes) and raise ValidationError for any other content.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +32,43 @@ def write_pfm(path: str | Path, image: np.ndarray) -> None:
         f.write(np.flipud(img).astype("<f4").tobytes())
 
 
+def _read(path: str | Path, tag: str, bytes_per_pixel: int) -> tuple[str, int, int, bytes]:
+    """Split a file into its third header line, width, height and exact payload.
+
+    Any header that is not ASCII, has the wrong tag or malformed dimensions, and
+    any payload not exactly width * height * bytes_per_pixel long, raises
+    ValidationError.
+    """
+    with open(path, "rb") as f:
+        head = [f.readline() for _ in range(3)]
+        payload = f.read()
+    try:
+        lines = [line.decode("ascii") for line in head]
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: header is not ASCII") from exc
+    if lines[0].strip() != tag:
+        raise ValidationError(f"{path}: expected tag {tag!r}, got {lines[0].strip()!r}")
+    dims = lines[1].split()
+    if len(dims) != 2 or not all(d.isdigit() for d in dims):
+        raise ValidationError(f"{path}: bad dimensions line {lines[1]!r}")
+    width, height = int(dims[0]), int(dims[1])
+    if len(payload) != width * height * bytes_per_pixel:
+        raise ValidationError(
+            f"{path}: payload of {len(payload)} bytes, expected {width * height * bytes_per_pixel}"
+        )
+    return lines[2], width, height, payload
+
+
 def read_pfm(path: str | Path) -> np.ndarray:
     """Read a grayscale PFM file into a float32 array of shape (H, W)."""
-    with open(path, "rb") as f:
-        tag = f.readline().decode("ascii").strip()
-        if tag != "Pf":
-            raise ValidationError(f"not a grayscale PFM file (tag {tag!r})")
-        width, height = (int(t) for t in f.readline().decode("ascii").split())
-        scale = float(f.readline().decode("ascii"))
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(f.read(width * height * 4), dtype=dtype)
-    if data.size != width * height:
-        raise ValidationError(f"truncated PFM payload in {path}")
+    scale_line, width, height, payload = _read(path, "Pf", 4)
+    try:
+        scale = float(scale_line)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad PFM scale {scale_line!r}") from exc
+    if not (math.isfinite(scale) and scale != 0.0):
+        raise ValidationError(f"{path}: PFM scale must be finite and nonzero, got {scale}")
+    data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4")
     return np.flipud(data.reshape(height, width)).astype(np.float32)
 
 
@@ -60,15 +87,7 @@ def write_pgm16(path: str | Path, values: np.ndarray) -> None:
 
 def read_pgm16(path: str | Path) -> np.ndarray:
     """Read a 16-bit binary PGM into a uint16 array of shape (H, W)."""
-    with open(path, "rb") as f:
-        tag = f.readline().decode("ascii").strip()
-        if tag != "P5":
-            raise ValidationError(f"not a binary PGM file (tag {tag!r})")
-        width, height = (int(t) for t in f.readline().decode("ascii").split())
-        maxval = int(f.readline().decode("ascii"))
-        if maxval != 65535:
-            raise ValidationError(f"expected 16-bit PGM (maxval 65535), got {maxval}")
-        data = np.frombuffer(f.read(width * height * 2), dtype=">u2")
-    if data.size != width * height:
-        raise ValidationError(f"truncated PGM payload in {path}")
-    return data.reshape(height, width).astype(np.uint16)
+    maxval, width, height, payload = _read(path, "P5", 2)
+    if maxval.strip() != "65535":
+        raise ValidationError(f"{path}: expected 16-bit PGM (maxval 65535), got {maxval.strip()!r}")
+    return np.frombuffer(payload, dtype=">u2").reshape(height, width).astype(np.uint16)

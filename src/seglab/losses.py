@@ -6,6 +6,12 @@ the pair survives finite-difference checking.  The dice denominators carry the
 same epsilon guard in the loss and in the gradient; the soft-overlap loss
 ("mime") and its fully simplified multi-class variant ("nm") are linear in the
 probabilities, so their gradients are constant maps.
+
+Every value function reduces only over the last two axes of the
+probabilities.  Given a ``ProbabilityMap`` it returns a float; given a raw
+float64 stack of probes shaped ``(n, classes.total, pixel_count)``, such as the
+finite-difference oracle evaluates, it returns the ``n`` values, each equal to
+the float the same probe gives as a map.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ShapeMismatchError, ValidationError
 from .grid import GradientMap, LabelMap, ProbabilityMap, overlap_stats, require_same_grid
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "mime_grad",
     "nm_loss",
     "nm_grad",
+    "combined_value",
     "combined_loss",
 ]
 
@@ -55,11 +62,34 @@ class LossConfig:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
 
 
-def dice_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
+Probs = ProbabilityMap | np.ndarray
+
+
+def _planes(y: LabelMap, s: Probs) -> np.ndarray:
+    """The probabilities of s: a map's values, or a raw (n, K, P) stack checked against y."""
+    if isinstance(s, ProbabilityMap):
+        require_same_grid(y, s)
+        return s.values
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 3 or s.shape[1:] != y.values.shape:
+        raise ShapeMismatchError(
+            f"probe stack shape {s.shape} does not match (n, {y.classes.total}, {y.shape.pixel_count})"
+        )
+    return s
+
+
+def _value(v: np.ndarray) -> float | np.ndarray:
+    """A map's loss as a float, a stack's as its array of values."""
+    return float(v) if v.ndim == 0 else v
+
+
+def dice_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Class-averaged soft dice loss: mean_k (1 - 2 I_k / (U_k + eps))."""
-    stats = overlap_stats(y, s)
-    terms = 1.0 - 2.0 * stats.intersection / (stats.union_sum + cfg.epsilon)
-    return float(terms.mean())
+    sv = _planes(y, s)
+    intersection = (y.values * sv).sum(axis=-1)
+    union_sum = (y.values + sv).sum(axis=-1)
+    terms = 1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)
+    return _value(terms.mean(axis=-1))
 
 
 def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
@@ -78,12 +108,11 @@ def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) ->
     return GradientMap(y.shape, y.classes, values)
 
 
-def ce_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
+def ce_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Cross-entropy averaged over classes and pixels."""
-    require_same_grid(y, s)
     norm = y.classes.total * y.shape.pixel_count
-    safe = np.maximum(s.values, CE_CLAMP)
-    return float(-(y.values * np.log(safe)).sum() / norm)
+    safe = np.maximum(_planes(y, s), CE_CLAMP)
+    return _value(-(y.values * np.log(safe)).sum(axis=(-2, -1)) / norm)
 
 
 def ce_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
@@ -101,10 +130,10 @@ def mime_weights(y: LabelMap, a: float, b: float) -> np.ndarray:
     return -a * y.values + b * (1.0 - y.values)
 
 
-def mime_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
+def mime_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Inner product of the flattened weight map with the probabilities."""
-    require_same_grid(y, s)
-    return float(np.vdot(mime_weights(y, cfg.mime_a, cfg.mime_b), s.values))
+    w = mime_weights(y, cfg.mime_a, cfg.mime_b)
+    return _value((w * _planes(y, s)).sum(axis=(-2, -1)))
 
 
 def mime_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
@@ -112,10 +141,9 @@ def mime_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) ->
     return GradientMap(y.shape, y.classes, mime_weights(y, cfg.mime_a, cfg.mime_b))
 
 
-def nm_loss(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> float:
+def nm_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Fully simplified linear loss -y.s; safe for training only when K >= 2."""
-    require_same_grid(y, s)
-    return float(-np.vdot(y.values, s.values))
+    return _value((-y.values * _planes(y, s)).sum(axis=(-2, -1)))
 
 
 def nm_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
@@ -132,6 +160,24 @@ LOSSES = {
 LOSS_IDS = tuple(LOSSES)
 
 
+def combined_value(
+    terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
+    y: LabelMap,
+    s: Probs,
+    cfg: LossConfig = LossConfig(),
+) -> float | np.ndarray:
+    """Weighted sum of loss values, sum_j lambda_j L_j, for a map or a probe stack."""
+    terms = list(terms)
+    if not terms:
+        raise ConfigError("combined loss needs at least one (loss id, weight) term")
+    total = 0.0
+    for loss_id, lam in terms:
+        if loss_id not in LOSSES:
+            raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
+        total = total + lam * LOSSES[loss_id][0](y, s, cfg)
+    return total
+
+
 def combined_loss(
     terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
     y: LabelMap,
@@ -140,14 +186,8 @@ def combined_loss(
 ) -> tuple[float, GradientMap]:
     """Weighted sum of losses and gradients: sum_j lambda_j (L_j, grad L_j)."""
     terms = list(terms)
-    if not terms:
-        raise ConfigError("combined loss needs at least one (loss id, weight) term")
-    total = 0.0
+    total = combined_value(terms, y, s, cfg)
     grad = np.zeros((y.classes.total, y.shape.pixel_count))
     for loss_id, lam in terms:
-        if loss_id not in LOSSES:
-            raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
-        value_fn, grad_fn = LOSSES[loss_id]
-        total += lam * value_fn(y, s, cfg)
-        grad = grad + lam * grad_fn(y, s, cfg).values
+        grad = grad + lam * LOSSES[loss_id][1](y, s, cfg).values
     return total, GradientMap(y.shape, y.classes, grad)

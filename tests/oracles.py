@@ -7,10 +7,11 @@ path.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
-from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap
+from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
 
 
 def random_instance(
@@ -125,3 +126,20 @@ def clece_oracle(y: LabelMap, s: ProbabilityMap, bins: int = 10) -> np.ndarray:
             total += len(members) / n * abs(acc - conf)
         out[k] = total
     return out
+
+
+def finite_diff_loop(
+    loss_fn: Callable[[ProbabilityMap], float], s: ProbabilityMap, h: float
+) -> GradientMap:
+    """Central differences one coordinate at a time, each probe built as a map."""
+    base = np.array(s.values)
+    grad = np.empty_like(base)
+    for idx in np.ndindex(base.shape):
+        orig = base[idx]
+        base[idx] = orig + h
+        hi = loss_fn(ProbabilityMap(s.shape, s.classes, base))
+        base[idx] = orig - h
+        lo = loss_fn(ProbabilityMap(s.shape, s.classes, base))
+        base[idx] = orig
+        grad[idx] = (hi - lo) / (2.0 * h)
+    return GradientMap(s.shape, s.classes, grad)

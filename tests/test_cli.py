@@ -5,11 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seglab import grid
 from seglab.cli import (
+    AUDIT_TERM_SETS,
+    AUDIT_TRIALS,
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
     main,
+    run_audit,
     run_comparison,
     run_experiment,
 )
@@ -258,6 +262,19 @@ class TestCliCommands:
             tmp_path / "a2" / "gradaudit.json"
         ).read_bytes()
 
+    def test_audit_builds_no_map_per_probe(self, tmp_path, monkeypatch):
+        built = []
+        for cls in (grid.LabelMap, grid.ProbabilityMap, grid.GradientMap):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        _, passed = run_audit(config_from_dict(tiny_config()), tmp_path / "gradaudit.json")
+        assert passed
+        # 2 * |K| * P probes per instance would be hundreds of maps
+        assert len(built) <= 10 * AUDIT_TRIALS * len(AUDIT_TERM_SETS)
+
     def test_loss_and_seed_overrides(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config(epochs=0))
         out = tmp_path / "override"
@@ -299,14 +316,34 @@ class TestBadInput:
             ({"dataset": TINY_DATASET | {"image_size": 5}}, "image_size"),
             ({"epoch": 1, "datset": dict(TINY_DATASET)}, "epoch"),
             ({"loss": {"kind": "dice", "wieght": 2}}, "wieght"),
+            ({"augment": "false"}, "augment"),
+            ({"epochs": 2.7}, "epochs"),
+            ({"batch_size": True}, "batch_size"),
+            ({"dataset": TINY_DATASET | {"image_size": [48.5, 48]}}, "image_size"),
+            ({"dataset": TINY_DATASET | {"seed": False}}, "seed"),
         ],
-        ids=["epochs_not_int", "image_size_not_list", "misspelled_keys", "misspelled_loss_key"],
+        ids=[
+            "epochs_not_int",
+            "image_size_not_list",
+            "misspelled_keys",
+            "misspelled_loss_key",
+            "augment_not_bool",
+            "epochs_not_integral",
+            "batch_size_bool",
+            "image_size_not_integral",
+            "dataset_seed_bool",
+        ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
         cfg_path = write_config(tmp_path, tiny_config(epochs=0, output_dir=str(tmp_path / "run")) | change)
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert repr(key) in self.single_error_line(capsys)
         assert not (tmp_path / "run").exists()
+
+    def test_integral_floats_and_json_booleans_accepted(self):
+        cfg = config_from_dict({"epochs": 2.0, "augment": True, "dataset": {"train": 4.0}})
+        assert (cfg.epochs, cfg.augment, cfg.dataset.train) == (2, True, 4)
+        assert type(cfg.epochs) is int and type(cfg.dataset.train) is int
 
     def test_misspelled_keys_rejected_before_defaults_apply(self):
         with pytest.raises(ConfigError, match="'datset', 'epoch'"):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seglab import gradcheck
 from seglab.errors import OracleError, UndefinedRangeError, ValidationError
 from seglab.gradcheck import (
+    FD_STEP,
+    PROBE_BLOCK,
     GradAuditReport,
     audit_bound,
     audit_two_valued,
@@ -17,10 +20,25 @@ from seglab.gradcheck import (
 )
 from seglab.grid import ClassSet, GradientMap, GridShape, ProbabilityMap, overlap_stats
 from seglab.imgio import read_pfm
-from seglab.losses import LossConfig, ce_grad, ce_loss, dice_grad, dice_loss, mime_loss, mime_weights
+from seglab.losses import (
+    LOSSES,
+    LossConfig,
+    ce_grad,
+    ce_loss,
+    combined_value,
+    dice_grad,
+    dice_loss,
+    mime_loss,
+    mime_weights,
+)
 from seglab.metrics import argmax_predict  # noqa: F401  (keeps import graph honest)
 
-from .oracles import binary_pair, noisy_prediction_instance, one_hot, random_instance
+from .oracles import binary_pair, finite_diff_loop, noisy_prediction_instance, one_hot, random_instance
+
+# Every table entry on its own, and the ce+dice combination the paper trains with.
+VALUE_FNS = {lid: value_fn for lid, (value_fn, _) in LOSSES.items()} | {
+    "ce+dice": lambda y, s, cfg: combined_value((("ce", 1.0), ("dice", 1.0)), y, s, cfg)
+}
 
 
 class TestFiniteDiff:
@@ -51,12 +69,60 @@ class TestFiniteDiff:
     def test_non_finite_loss_raises_oracle_error(self):
         _, s = binary_pair([1, 0], [0.5, 0.5])
         with pytest.raises(OracleError):
-            finite_diff_grad(lambda p: float("nan"), s)
+            finite_diff_grad(lambda p: np.full(len(p), np.nan), s)
+
+    def test_non_finite_value_names_its_coordinate(self):
+        _, s = binary_pair([1, 0], [0.5, 0.5])
+        # only the +h probe of coordinate (1, 0) is non-finite
+        with pytest.raises(OracleError, match=r"probe \(1, 0\)"):
+            finite_diff_grad(lambda p: np.where(p[:, 1, 0] > 0.5, np.inf, p.sum(axis=(1, 2))), s)
+
+    @pytest.mark.parametrize(
+        "wrong", [lambda p: 0.0, lambda p: np.zeros(len(p) + 1), lambda p: np.zeros((len(p), 1))],
+        ids=["scalar", "one_too_many", "column"],
+    )
+    def test_wrongly_shaped_result_raises_oracle_error(self, wrong):
+        _, s = binary_pair([1, 0], [0.5, 0.5])
+        with pytest.raises(OracleError, match=r"coordinate \(0, 0\)"):
+            finite_diff_grad(wrong, s)
+
+    def test_probes_outside_the_slack_band_rejected(self):
+        _, s = binary_pair([1, 0], [1.0, 0.0])
+        finite_diff_grad(lambda p: p.sum(axis=(1, 2)), s, h=1e-3)
+        with pytest.raises(ValidationError):
+            finite_diff_grad(lambda p: p.sum(axis=(1, 2)), s, h=1e-2)
 
     def test_non_positive_step_rejected(self):
         _, s = binary_pair([1, 0], [0.5, 0.5])
         with pytest.raises(ValidationError):
             finite_diff_grad(lambda p: 0.0, s, h=0.0)
+
+
+class TestAgainstLoop:
+    """The stacked oracle reproduces the per-coordinate loop over maps bit for bit."""
+
+    @pytest.mark.parametrize("block", [PROBE_BLOCK, 1000, 1], ids=["one_stack", "uneven_stacks", "per_coordinate"])
+    @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
+    def test_matches_loop_exactly(self, monkeypatch, value_fn, block):
+        monkeypatch.setattr(gradcheck, "PROBE_BLOCK", block)
+        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            y, s = random_instance(rng, max_pixels=24)
+            stacked = finite_diff_grad(lambda p: value_fn(y, p, cfg), s)
+            looped = finite_diff_loop(lambda m: value_fn(y, m, cfg), s, FD_STEP)
+            assert np.array_equal(stacked.values, looped.values)
+
+    @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
+    def test_instance_larger_than_one_block(self, value_fn):
+        rng = np.random.default_rng(13)
+        y = one_hot(rng.integers(0, 4, 64), ClassSet(3))
+        s = ProbabilityMap(y.shape, y.classes, rng.uniform(0.05, 0.95, (4, 64)))
+        assert 2 * s.values.size**2 > PROBE_BLOCK  # its 512 probes of 256 values take several stacks
+        cfg = LossConfig()
+        stacked = finite_diff_grad(lambda p: value_fn(y, p, cfg), s, 1e-4)
+        looped = finite_diff_loop(lambda m: value_fn(y, m, cfg), s, 1e-4)
+        assert np.array_equal(stacked.values, looped.values)
 
 
 class TestTwoValued:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seglab.errors import ConfigError, ValidationError
+from seglab.errors import ConfigError, ShapeMismatchError, ValidationError
 from seglab.gradcheck import finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.losses import (
@@ -246,6 +246,30 @@ class TestLossTable:
             numeric = finite_diff_grad(lambda p: value_fn(y, p, cfg), s)
             assert max_relative_error(grad_fn(y, s, cfg), numeric) < 1e-5
             checked += 1
+
+
+    @pytest.mark.parametrize("loss_id, pair", LOSSES.items(), ids=list(LOSSES))
+    def test_stack_values_equal_per_map_calls(self, loss_id, pair):
+        value_fn, _ = pair
+        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            y, s = random_instance(rng)
+            stack = rng.uniform(0.0, 1.0, (7, *s.values.shape))
+            values = value_fn(y, stack, cfg)
+            assert values.shape == (7,)
+            per_map = [value_fn(y, ProbabilityMap(y.shape, y.classes, p), cfg) for p in stack]
+            assert np.array_equal(values, per_map)
+            assert type(value_fn(y, s, cfg)) is float
+
+    @pytest.mark.parametrize("loss_id, pair", LOSSES.items(), ids=list(LOSSES))
+    def test_stack_with_wrong_trailing_shape_rejected(self, loss_id, pair):
+        value_fn, _ = pair
+        y, s = random_instance(np.random.default_rng(13))
+        k, n = s.values.shape
+        for shape in ((3, k, n + 1), (3, k + 1, n), (k, n), (3, 1, k, n)):
+            with pytest.raises(ShapeMismatchError):
+                value_fn(y, np.full(shape, 0.5), LossConfig())
 
 
 class TestCombined:
