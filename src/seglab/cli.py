@@ -174,7 +174,7 @@ def _reader(data, name: str, known: tuple[str, ...]):
         value = data.get(key, default)
         try:
             return convert(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{name} key {key!r} has invalid value {value!r}: {exc}") from exc
 
     return get
@@ -187,6 +187,16 @@ def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("expected an integer")
     return value
+
+
+def _as_float(value) -> float:
+    """A finite JSON number; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("expected a number")
+    number = float(value)  # OverflowError for an integer beyond the float range
+    if not np.isfinite(number):
+        raise ValueError("expected a finite number")
+    return number
 
 
 def _as_bool(value) -> bool:
@@ -205,14 +215,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         train=ds("train", _as_int, 500),
         val=ds("val", _as_int, 50),
         test=ds("test", _as_int, 100),
-        noise_sigma=ds("noise_sigma", float, 0.03),
+        noise_sigma=ds("noise_sigma", _as_float, 0.03),
         seed=ds("seed", lambda v: None if v is None else _as_int(v), None),
     )
     loss = data.get("loss", {"kind": "dice"})
     loss = _reader({"kind": loss} if isinstance(loss, str) else loss, "loss", ("kind", "a", "b", "terms"))
     kind = loss("kind", str, "dice")
     if kind == "combined":
-        terms = loss("terms", lambda v: tuple((str(lid), float(lam)) for lid, lam in v), ())
+        terms = loss("terms", lambda v: tuple((str(lid), _as_float(lam)) for lid, lam in v), ())
         if not terms:
             raise ConfigError('combined loss needs a non-empty "terms" list')
     elif kind in LOSS_IDS:
@@ -224,14 +234,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     opt_get = _reader(opt, "optimizer", ("kind", *_OPT_FIELDS))
     optimizer = replace(
         default_optimizer_config(opt_get("kind", str, "adam")),
-        **{k: opt_get(k, float, None) for k in _OPT_FIELDS if k in opt},
+        **{k: opt_get(k, _as_float, None) for k in _OPT_FIELDS if k in opt},
     )
     return ExperimentConfig(
         dataset=dataset,
         loss_kind=kind,
         loss_terms=terms,
-        mime_a=loss("a", float, 1.9),
-        mime_b=loss("b", float, 0.1),
+        mime_a=loss("a", _as_float, 1.9),
+        mime_b=loss("b", _as_float, 0.1),
         optimizer=optimizer,
         epochs=get("epochs", _as_int, 60),
         batch_size=get("batch_size", _as_int, 1),
@@ -309,8 +319,11 @@ def _sample_loss_grad(
     sample: Sample,
     terms: tuple[tuple[str, float], ...],
     lcfg: LossConfig,
+    epoch: int,
 ) -> tuple[float, np.ndarray]:
     logits, cache = forward(net, sample.image)
+    if not np.isfinite(logits).all():
+        raise TrainingAbortError(f"non-finite logits at epoch {epoch} on sample {sample.id}")
     probs = softmax(logits)
     value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
     grad_z = softmax_backward(probs, grad_s)
@@ -369,14 +382,16 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _keep_freed_memory() -> None:
-    """Stop glibc from handing each step's multi-MB im2col buffers back to the kernel.
+    """Stop glibc from handing each step's freed conv buffers back to the kernel.
 
-    A training step allocates and frees a few 2.4 MB arrays at 64x64.  With
-    glibc's adaptive defaults, whether a free trims the heap top depends on the
-    heap layout, so a run may fault that memory back in on every step (1.7M
-    minor page faults and half the wall time in the kernel over 2 acdc_like
-    epochs).  Serving blocks up to 32 MB from the heap and trimming only past
-    128 MB of free top space keeps it mapped.  A no-op without mallopt.
+    At 64x64 a training step allocates and frees forward's 2.4 MB im2col matrix
+    and a few dozen arrays of 130-300 KB.  With glibc's adaptive defaults,
+    whether a free trims the heap top depends on the heap layout, so a run may
+    fault that memory back in on every step (1.2M minor page faults and a
+    third of the wall time in the kernel over 2 acdc_like epochs, against 33k
+    with this call).  Serving blocks up to 32 MB from the heap and trimming
+    only past 128 MB of free top space keeps it mapped.  A no-op without
+    mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -418,7 +433,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
             if cfg.augment:
                 batch = [augment(s, int(streams.augment.integers(0, 2**63))) for s in batch]
-            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg) for s in batch]
+            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
             batch_loss = float(np.mean([value for value, _ in results]))
             if not np.isfinite(batch_loss):
                 raise TrainingAbortError(

@@ -9,6 +9,20 @@ parameter vector theta concatenates every layer's kernels then biases, in
 layer order.  Kernels are He-normal initialized from a seeded generator;
 biases start at zero.  The ReLU subgradient at 0 is 0.
 
+Convolution layout: a k x k layer (pad = k // 2) zero-pads its (C, H, W)
+input to rows of width wp = W + 2*pad and flattens each channel.  On that flat
+grid, tap (u, v) of the whole output is one contiguous slice
+[u*wp + v, u*wp + v + span), span = (H - 1)*wp + W: H rows of W entries with
+2*pad junk entries between consecutive rows.  forward copies every tap's
+H x W window into an im2col matrix with rows in (channel, u, v) order and runs
+one GEMM over it.  backward zero-pads the upstream gradient to width wp, so
+its junk entries are zero; each tap's kernel gradient is then one GEMM with
+that tap's slice of the cached input, and each tap's input gradient is added
+back onto the flat grid with one contiguous slice add.  The cache keeps each
+layer's padded, flattened input (x.reshape(C, -1) for a 1x1 layer) and its
+pre-activation.  At 64x64 the padded 8-channel input is 279 KB; the 72-row
+im2col matrix (2.4 MB) lives only during forward's GEMM.
+
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
            format, hidden_channels, in_channels, classes_total, seed, epoch,
@@ -22,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, StaleCacheError, ValidationError
 from .grid import ClassSet, GradientMap, GridShape, ProbabilityMap
@@ -59,8 +72,8 @@ class ConvLayer:
         if self.kernels.ndim != 4:
             raise ValidationError(f"kernels must be 4-D, got shape {self.kernels.shape}")
         out_ch, _, kh, kw = self.kernels.shape
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValidationError(f"kernel sides must be odd for same padding, got {kh}x{kw}")
+        if kh != kw or kh % 2 == 0:
+            raise ValidationError(f"kernels must be square with an odd side for same padding, got {kh}x{kw}")
         if self.biases.shape != (out_ch,):
             raise ValidationError(f"biases shape {self.biases.shape} != ({out_ch},)")
 
@@ -115,8 +128,7 @@ class SegNet:
 
 @dataclass(eq=False)
 class _LayerCache:
-    input_shape: tuple[int, int, int]
-    cols: np.ndarray  # (in_ch*kh*kw, H*W)
+    cols: np.ndarray  # input zero-padded by k // 2 and flattened, (in_ch, (H + 2*pad) * (W + 2*pad))
     pre: np.ndarray  # pre-activation, (out_ch, H, W)
 
 
@@ -128,17 +140,28 @@ class ForwardCache:
 
 
 def _conv_forward(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    out_ch, in_ch, kh, kw = layer.kernels.shape
+    out_ch, in_ch, k, _ = layer.kernels.shape
     if x.shape[0] != in_ch:
         raise ShapeMismatchError(f"layer expects {in_ch} input channels, got {x.shape[0]}")
     _, height, width = x.shape
-    pad = kh // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad))) if pad else x
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C, H, W, kh, kw)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(in_ch * kh * kw, height * width)
-    wmat = layer.kernels.reshape(out_ch, -1)
-    pre = (wmat @ cols + layer.biases[:, None]).reshape(out_ch, height, width)
-    return cols, pre
+    if k == 1:
+        rows = cols = x.reshape(in_ch, -1)
+    else:
+        pad = k // 2
+        grid = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
+        grid[:, pad : pad + height, pad : pad + width] = x
+        rows = grid.reshape(in_ch, -1)
+        # A GEMM straight over the tap slices of rows would save these copies,
+        # but OpenBLAS picks its kernels by matrix shape, and on some small
+        # images the extra junk columns change the last bits of the logits.
+        # H*W columns keep forward's GEMM, and so its logits, layout-free.
+        cols = np.empty((in_ch, k, k, height, width))
+        for u in range(k):
+            for v in range(k):
+                cols[:, u, v] = grid[:, u : u + height, v : v + width]
+        cols = cols.reshape(-1, height * width)
+    pre = (layer.kernels.reshape(out_ch, -1) @ cols).reshape(out_ch, height, width)
+    return rows, pre + layer.biases[:, None, None]
 
 
 def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -152,8 +175,8 @@ def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     x = image[None] - INPUT_CENTER
     caches = []
     for layer in net.layers:
-        cols, pre = _conv_forward(layer, x)
-        caches.append(_LayerCache(input_shape=x.shape, cols=cols, pre=pre))
+        rows, pre = _conv_forward(layer, x)
+        caches.append(_LayerCache(cols=rows, pre=pre))
         x = np.maximum(pre, 0.0) if layer.relu else pre
     return x, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
 
@@ -185,17 +208,6 @@ def softmax_backward(s: ProbabilityMap, dL_ds: GradientMap) -> np.ndarray:
     return dz.reshape(s.classes.total, *s.shape.dims)
 
 
-def _col2im(dcols: np.ndarray, x_shape: tuple[int, int, int], kh: int, kw: int) -> np.ndarray:
-    in_ch, height, width = x_shape
-    pad = kh // 2
-    d = dcols.reshape(in_ch, kh, kw, height, width)
-    dxp = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, u : u + height, v : v + width] += d[:, u, v]
-    return dxp[:, pad : pad + height, pad : pad + width] if pad else dxp
-
-
 def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
     """Backpropagate dL/dlogits to a flat parameter gradient.
 
@@ -218,16 +230,27 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
     for li in reversed(range(len(net.layers))):
         layer = net.layers[li]
         lc = cache.layers[li]
+        out_ch, in_ch, k, _ = layer.kernels.shape
+        _, height, width = lc.pre.shape
+        pad = k // 2
+        wp = width + 2 * pad
+        span = (height - 1) * wp + width
+        d = np.zeros((out_ch, height * wp))
+        interior = d.reshape(out_ch, height, wp)[:, :, :width]
         if layer.relu:
-            upstream = upstream * (lc.pre > 0.0)
-        out_ch, _, kh, kw = layer.kernels.shape
-        dflat = upstream.reshape(out_ch, -1)  # (out_ch, H*W)
-        dkernels = (dflat @ lc.cols.T).reshape(layer.kernels.shape)
-        dbiases = dflat.sum(axis=1)
-        grads[li] = (dkernels, dbiases)
-        if li > 0:
-            dcols = layer.kernels.reshape(out_ch, -1).T @ dflat
-            upstream = _col2im(dcols, lc.input_shape, kh, kw)
+            np.multiply(upstream, lc.pre > 0.0, out=interior)
+        else:
+            interior[...] = upstream
+        d = d[:, :span]  # the zero junk columns between rows add nothing below
+        kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
+        dkernels = np.empty_like(kernels)
+        dx = np.zeros_like(lc.cols)
+        for t, o in enumerate(u * wp + v for u in range(k) for v in range(k)):
+            dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
+            if li > 0:
+                dx[:, o : o + span] += kernels[:, :, t].T @ d
+        grads[li] = (dkernels.reshape(layer.kernels.shape), d.sum(axis=1))
+        upstream = dx.reshape(in_ch, height + 2 * pad, wp)[:, pad : pad + height, pad : pad + width]
     return np.concatenate([np.concatenate([dk.ravel(), db.ravel()]) for dk, db in grads])
 
 

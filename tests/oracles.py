@@ -1,8 +1,8 @@
 """Brute-force oracles and instance builders shared by the test modules.
 
-Everything here recomputes quantities with plain per-pixel loops so the
-package's vectorized implementations are checked against an independent
-path.
+Everything here recomputes quantities with plain per-pixel loops, or for the
+net with the textbook im2col/col2im convolution, so the package's vectorized
+implementations are checked against an independent path.
 """
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
+from seglab.net import INPUT_CENTER, SegNet
 
 
 def random_instance(
@@ -143,3 +145,47 @@ def finite_diff_loop(
         base[idx] = orig
         grad[idx] = (hi - lo) / (2.0 * h)
     return GradientMap(s.shape, s.classes, grad)
+
+
+def im2col_forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The net's forward pass through explicit im2col matrices.
+
+    Returns the logits and, per layer, its (in_ch*kh*kw, H*W) column matrix
+    with rows in (channel, u, v) order and its pre-activation.
+    """
+    x = np.asarray(image, dtype=np.float64)[None] - INPUT_CENTER
+    caches = []
+    for layer in net.layers:
+        out_ch, in_ch, kh, kw = layer.kernels.shape
+        _, height, width = x.shape
+        pad = kh // 2
+        xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (C, H, W, kh, kw)
+        cols = windows.transpose(0, 3, 4, 1, 2).reshape(in_ch * kh * kw, height * width)
+        pre = (layer.kernels.reshape(out_ch, -1) @ cols + layer.biases[:, None]).reshape(out_ch, height, width)
+        caches.append((cols, pre))
+        x = np.maximum(pre, 0.0) if layer.relu else pre
+    return x, caches
+
+
+def im2col_backward(net: SegNet, caches: list[tuple[np.ndarray, np.ndarray]], dL_dz: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient from im2col_forward's caches; col2im by strided window adds."""
+    upstream = np.asarray(dL_dz, dtype=np.float64)
+    grads = []
+    for li in reversed(range(len(net.layers))):
+        layer = net.layers[li]
+        cols, pre = caches[li]
+        if layer.relu:
+            upstream = upstream * (pre > 0.0)
+        out_ch, in_ch, kh, kw = layer.kernels.shape
+        _, height, width = pre.shape
+        dflat = upstream.reshape(out_ch, -1)
+        grads.append(((dflat @ cols.T).ravel(), dflat.sum(axis=1)))
+        pad = kh // 2
+        d = (layer.kernels.reshape(out_ch, -1).T @ dflat).reshape(in_ch, kh, kw, height, width)
+        dxp = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
+        for u in range(kh):
+            for v in range(kw):
+                dxp[:, u : u + height, v : v + width] += d[:, u, v]
+        upstream = dxp[:, pad : pad + height, pad : pad + width]
+    return np.concatenate([np.concatenate(pair) for pair in reversed(grads)])

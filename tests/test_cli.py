@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seglab import grid
+from seglab import cli, grid
 from seglab.cli import (
     AUDIT_TERM_SETS,
     AUDIT_TRIALS,
@@ -19,6 +19,7 @@ from seglab.cli import (
 )
 from seglab.errors import ConfigError
 from seglab.net import load_checkpoint
+from seglab.synthdata import generate
 
 TINY_DATASET = {
     "kind": "acdc_like",
@@ -321,6 +322,13 @@ class TestBadInput:
             ({"batch_size": True}, "batch_size"),
             ({"dataset": TINY_DATASET | {"image_size": [48.5, 48]}}, "image_size"),
             ({"dataset": TINY_DATASET | {"seed": False}}, "seed"),
+            ({"loss": {"kind": "mime", "a": True}}, "a"),
+            ({"loss": {"kind": "mime", "b": "0.5"}}, "b"),
+            ({"dataset": TINY_DATASET | {"noise_sigma": "nan"}}, "noise_sigma"),
+            ({"loss": {"kind": "combined", "terms": [["dice", "nan"]]}}, "terms"),
+            ({"loss": {"kind": "combined", "terms": [["dice", float("nan")]]}}, "terms"),
+            ({"optimizer": {"kind": "adam", "lam": float("inf")}}, "lam"),
+            ({"optimizer": {"kind": "adam", "eta": "nan"}}, "eta"),
         ],
         ids=[
             "epochs_not_int",
@@ -332,6 +340,13 @@ class TestBadInput:
             "batch_size_bool",
             "image_size_not_integral",
             "dataset_seed_bool",
+            "mime_a_bool",
+            "mime_b_string",
+            "noise_sigma_nan_string",
+            "term_weight_nan_string",
+            "term_weight_nan",
+            "lam_infinity",
+            "eta_nan_string",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -344,6 +359,29 @@ class TestBadInput:
         cfg = config_from_dict({"epochs": 2.0, "augment": True, "dataset": {"train": 4.0}})
         assert (cfg.epochs, cfg.augment, cfg.dataset.train) == (2, True, 4)
         assert type(cfg.epochs) is int and type(cfg.dataset.train) is int
+
+    def test_json_integers_accepted_as_floats(self):
+        cfg = config_from_dict({"loss": {"kind": "mime", "a": 2}, "optimizer": {"kind": "sgd", "eta": 1}})
+        assert (cfg.mime_a, cfg.optimizer.eta) == (2.0, 1.0)
+        assert type(cfg.mime_a) is float and type(cfg.optimizer.eta) is float
+
+    def test_non_finite_logits_name_epoch_and_sample(self, tmp_path, capsys, monkeypatch):
+        cfg = config_from_dict(tiny_config(epochs=1))
+        spec = cli._resolved_dataset(cfg, cli._derive_streams(cfg.seed))
+        target = generate(spec)[0][3]
+        real_forward = cli.forward
+
+        def overflowing(net, image):
+            logits, cache = real_forward(net, image)
+            if np.array_equal(image, target.image):
+                logits[1] = np.inf
+            return logits, cache
+
+        monkeypatch.setattr(cli, "forward", overflowing)
+        cfg_path = write_config(tmp_path, tiny_config(epochs=1, output_dir=str(tmp_path / "run")))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        line = self.single_error_line(capsys)
+        assert "epoch 0" in line and target.id in line
 
     def test_misspelled_keys_rejected_before_defaults_apply(self):
         with pytest.raises(ConfigError, match="'datset', 'epoch'"):
