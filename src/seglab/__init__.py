@@ -64,6 +64,6 @@ from .optim import (
     sgd_step,
 )
 from .synthdata import DatasetSpec, Sample, augment, export_dataset, generate
-from .metrics import argmax_predict, clece, clece_report, dsc, evaluate_sample
+from .metrics import argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
 
 __version__ = "0.1.0"

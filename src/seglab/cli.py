@@ -60,7 +60,7 @@ from .gradcheck import (
 )
 from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
 from .losses import LOSS_IDS, LossConfig, combined_loss, combined_value, dice_grad
-from .metrics import argmax_predict, dsc, evaluate_sample
+from .metrics import argmax_dsc, evaluate_sample
 from .net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
 from .optim import (
     AdamState,
@@ -321,7 +321,9 @@ def _sample_loss_grad(
     lcfg: LossConfig,
     epoch: int,
 ) -> tuple[float, np.ndarray]:
-    logits, cache = forward(net, sample.image)
+    # A diverging run overflows here first; the finiteness checks report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward(net, sample.image)
     if not np.isfinite(logits).all():
         raise TrainingAbortError(f"non-finite logits at epoch {epoch} on sample {sample.id}")
     probs = softmax(logits)
@@ -334,8 +336,7 @@ def _validation_dsc(net: SegNet, samples: list[Sample]) -> np.ndarray:
     rows = []
     for sample in samples:
         logits, _ = forward(net, sample.image)
-        pred = argmax_predict(softmax(logits))
-        rows.append(dsc(sample.label, pred)[1:])
+        rows.append(argmax_dsc(sample.label, softmax(logits))[1:])
     return np.array(rows)
 
 
@@ -442,11 +443,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             grad = np.mean([g for _, g in results], axis=0)
             step_cfg = replace(cfg.optimizer, eta=lr)
             theta = net.get_params()
-            if cfg.optimizer.kind == "sgd":
-                theta = sgd_step(theta, grad, step_cfg, momentum_state)
-            else:
-                adam_t += 1
-                theta = adam_step(theta, grad, step_cfg, adam_state, adam_t)
+            # An overflowing step leaves non-finite parameters for the next check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if cfg.optimizer.kind == "sgd":
+                    theta = sgd_step(theta, grad, step_cfg, momentum_state)
+                else:
+                    adam_t += 1
+                    theta = adam_step(theta, grad, step_cfg, adam_state, adam_t)
             net.set_params(theta)
             batch_losses.append(batch_loss)
 

@@ -2,10 +2,24 @@
 calibration error (ClECE).
 
 DSC uses a small epsilon guard in the denominator; a class that is empty in
-both maps scores 1.0 by convention.  ClECE bins every pixel of a class plane
-into 10 equal-width confidence bins [j/10, (j+1)/10), last bin closed, and
-normalizes by the full pixel count.  Reported means exclude the background
-class.
+both maps scores 1.0 by convention.  ``argmax_dsc`` scores the argmax
+prediction of a probability map straight from its class indices: exact
+pixel counts by ``bincount``, with no one-hot prediction map, and the same
+values as ``dsc(y, argmax_predict(s))``.
+
+ClECE bins every pixel of a class plane into equal-width confidence bins
+[j/bins, (j+1)/bins), the first and last bins also taking the values that
+stray below 0 and above 1, and normalizes by the full pixel count.  All
+class planes are binned in one pass over keys ``k * bins + b``.  Pixel and
+label counts per bin come from ``bincount`` and are exact, since labels are
+0/1.  Confidence sums come from a stable sort of the keys, so each bin's
+pixels lie contiguous and in pixel order, and one ``np.add.reduce`` per
+non-empty bin: the same pairwise sum over the same values that the mean of a
+boolean-masked plane takes.  Each class total adds its bins left to right.
+So every value and every ``BinStat`` is bit-identical to a per-bin loop
+(``tests/oracles.py::clece_report_loop``).  ``np.add.reduceat`` and a
+``bincount`` weighted by confidence sum in other orders and differ from it
+in the last bits.  Reported means exclude the background class.
 """
 from __future__ import annotations
 
@@ -22,6 +36,7 @@ __all__ = [
     "BinStat",
     "ClassMetricReport",
     "dsc",
+    "argmax_dsc",
     "argmax_predict",
     "clece",
     "clece_report",
@@ -32,12 +47,28 @@ DSC_EPS = 1e-8
 DEFAULT_BINS = 10
 
 
+def _dice(inter: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
+    return np.where(sizes > 0, 2.0 * inter / (sizes + eps), 1.0)
+
+
 def dsc(y: LabelMap, pred: LabelMap, eps: float = DSC_EPS) -> np.ndarray:
     """Per-class hard Dice: 2|A n B| / (|A| + |B| + eps); both-empty -> 1.0."""
     require_same_grid(y, pred)
     inter = (y.values * pred.values).sum(axis=1)
     sizes = y.values.sum(axis=1) + pred.values.sum(axis=1)
-    return np.where(sizes > 0, 2.0 * inter / (sizes + eps), 1.0)
+    return _dice(inter, sizes, eps)
+
+
+def argmax_dsc(y: LabelMap, s: ProbabilityMap, eps: float = DSC_EPS) -> np.ndarray:
+    """Per-class hard Dice of the argmax prediction of `s`; equals
+    ``dsc(y, argmax_predict(s), eps)`` without building the one-hot map."""
+    require_same_grid(y, s)
+    total, n = s.values.shape
+    idx = np.argmax(s.values, axis=0)
+    hit = y.values.reshape(-1)[idx * n + np.arange(n)]  # label of the predicted class
+    inter = np.bincount(idx, weights=hit, minlength=total)
+    sizes = y.values.sum(axis=1) + np.bincount(idx, minlength=total)
+    return _dice(inter, sizes, eps)
 
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:
@@ -57,35 +88,40 @@ class BinStat:
     accuracy: float  # mean label in the bin (0.0 if empty)
 
 
+def _bin_count(bins: object) -> int:
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValidationError(f"bins must be an integer >= 1, got {bins!r}")
+    return int(bins)
+
+
 def clece_report(
     y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
 ) -> tuple[np.ndarray, list[list[BinStat]]]:
     """Per-class ClECE values plus the underlying bin diagnostics."""
     require_same_grid(y, s)
-    if bins < 1:
-        raise ValidationError(f"need at least one bin, got {bins}")
-    n = y.shape.pixel_count
-    values = np.zeros(y.classes.total)
-    diagnostics: list[list[BinStat]] = []
-    for k in range(y.classes.total):
-        conf = s.values[k]
-        acc = y.values[k]
-        bin_idx = np.clip(np.floor(conf * bins).astype(np.int64), 0, bins - 1)
-        stats = []
-        total = 0.0
-        for b in range(bins):
-            members = bin_idx == b
-            count = int(members.sum())
-            if count == 0:
-                stats.append(BinStat(count=0, confidence=0.0, accuracy=0.0))
-                continue
-            mean_conf = float(conf[members].mean())
-            mean_acc = float(acc[members].mean())
-            stats.append(BinStat(count=count, confidence=mean_conf, accuracy=mean_acc))
-            total += count / n * abs(mean_acc - mean_conf)
-        values[k] = total
-        diagnostics.append(stats)
-    return values, diagnostics
+    bins = _bin_count(bins)
+    total, n = s.values.shape
+    cells = total * bins
+    bin_idx = np.clip(np.floor(s.values * bins).astype(np.int64), 0, bins - 1)
+    key = (bin_idx + np.arange(0, cells, bins)[:, None]).reshape(-1)
+    counts = np.bincount(key, minlength=cells)
+    label_sums = np.bincount(key, weights=y.values.reshape(-1), minlength=cells)
+    # A stable sort on the smallest unsigned key type (a radix sort for up to
+    # 16 bits) lays each cell's pixels out contiguously in pixel order.
+    order = np.argsort(key.astype(np.min_scalar_type(cells - 1)), kind="stable")
+    grouped = s.values.reshape(-1)[order]
+    stops = np.cumsum(counts)
+    conf_sums = np.zeros(cells)
+    filled = np.flatnonzero(counts)
+    conf_sums[filled] = [
+        np.add.reduce(grouped[a:b]) for a, b in zip((stops - counts)[filled].tolist(), stops[filled].tolist())
+    ]
+    confidence = np.divide(conf_sums, counts, out=np.zeros(cells), where=counts > 0)
+    accuracy = np.divide(label_sums, counts, out=np.zeros(cells), where=counts > 0)
+    gaps = (counts / n * np.abs(accuracy - confidence)).reshape(total, bins)
+    values = np.cumsum(gaps, axis=1)[:, -1]  # bins added left to right
+    stats = list(map(BinStat, counts.tolist(), confidence.tolist(), accuracy.tolist()))
+    return values, [stats[k * bins : (k + 1) * bins] for k in range(total)]
 
 
 def clece(y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS) -> np.ndarray:
@@ -109,8 +145,7 @@ def evaluate_sample(
     y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
 ) -> ClassMetricReport:
     """Hard-prediction DSC plus calibration for one (label, probability) pair."""
-    pred = argmax_predict(s)
-    dice_values = dsc(y, pred)
+    dice_values = argmax_dsc(y, s)
     cal_values, diagnostics = clece_report(y, s, bins)
     return ClassMetricReport(
         dsc=dice_values,

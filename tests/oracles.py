@@ -1,8 +1,9 @@
 """Brute-force oracles and instance builders shared by the test modules.
 
-Everything here recomputes quantities with plain per-pixel loops, or for the
-net with the textbook im2col/col2im convolution, so the package's vectorized
-implementations are checked against an independent path.
+Everything here recomputes quantities with plain per-pixel loops, with the
+per-bin ClECE loop, or for the net with the textbook im2col/col2im
+convolution, so the package's vectorized implementations are checked against
+an independent path.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
+from seglab.metrics import BinStat
 from seglab.net import INPUT_CENTER, SegNet
 
 
@@ -128,6 +130,38 @@ def clece_oracle(y: LabelMap, s: ProbabilityMap, bins: int = 10) -> np.ndarray:
             total += len(members) / n * abs(acc - conf)
         out[k] = total
     return out
+
+
+def clece_report_loop(
+    y: LabelMap, s: ProbabilityMap, bins: int = 10
+) -> tuple[np.ndarray, list[list[BinStat]]]:
+    """ClECE values and bin diagnostics by one boolean mask per class and bin.
+
+    Bin means are numpy means over the masked pixels, so the package's
+    one-pass binning must match these values bit for bit.
+    """
+    n = y.shape.pixel_count
+    values = np.zeros(y.classes.total)
+    diagnostics: list[list[BinStat]] = []
+    for k in range(y.classes.total):
+        conf = s.values[k]
+        acc = y.values[k]
+        bin_idx = np.clip(np.floor(conf * bins).astype(np.int64), 0, bins - 1)
+        stats = []
+        total = 0.0
+        for b in range(bins):
+            members = bin_idx == b
+            count = int(members.sum())
+            if count == 0:
+                stats.append(BinStat(count=0, confidence=0.0, accuracy=0.0))
+                continue
+            mean_conf = float(conf[members].mean())
+            mean_acc = float(acc[members].mean())
+            stats.append(BinStat(count=count, confidence=mean_conf, accuracy=mean_acc))
+            total += count / n * abs(mean_acc - mean_conf)
+        values[k] = total
+        diagnostics.append(stats)
+    return values, diagnostics
 
 
 def finite_diff_loop(

@@ -252,6 +252,7 @@ def benchmark_results(tmp_path_factory):
     return results
 
 
+@pytest.mark.slow
 def test_criterion_6_mimicking_benchmark(benchmark_results):
     details = []
     ok = True

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +383,16 @@ class TestBadInput:
         assert main(["train", "--config", str(cfg_path)]) == 2
         line = self.single_error_line(capsys)
         assert "epoch 0" in line and target.id in line
+
+    @pytest.mark.parametrize("eta", [1e300, 1e308])
+    def test_diverging_run_reports_only_the_error_line(self, tmp_path, capsys, eta):
+        data = tiny_config(epochs=2, optimizer={"kind": "sgd", "eta": eta}, output_dir=str(tmp_path / "run"))
+        cfg_path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "non-finite logits" in self.single_error_line(capsys)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_misspelled_keys_rejected_before_defaults_apply(self):
         with pytest.raises(ConfigError, match="'datset', 'epoch'"):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap
+from seglab.errors import ValidationError
+from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, dice_loss
-from seglab.metrics import argmax_predict, clece, clece_report, dsc, evaluate_sample
+from seglab.metrics import argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
+from seglab.net import softmax
 
-from .oracles import clece_oracle, dsc_oracle, one_hot, random_instance
+from .oracles import clece_oracle, clece_report_loop, dsc_oracle, one_hot, random_instance
 
 
 def random_label_pair(rng, max_pixels=24):
@@ -170,3 +172,86 @@ class TestEvaluateSample:
         # means exclude the background plane
         assert report.mean_dsc == pytest.approx(float(report.dsc[1:].mean()))
         assert report.mean_clece == pytest.approx(float(report.clece[1:].mean()))
+
+
+def random_grid(rng, sides=(1, 71)):
+    """A grid up to 70x70; one run in four is a single row or column."""
+    h, w = (int(v) for v in rng.integers(*sides, size=2))
+    shape = rng.integers(4)
+    return (1, w) if shape == 0 else (h, 1) if shape == 1 else (h, w)
+
+
+def softmax_instance(rng, dims):
+    total = int(rng.integers(2, 5))
+    logits = rng.normal(size=(total, *dims)) * rng.uniform(0.1, 6.0)
+    return one_hot(rng.integers(0, total, size=dims), ClassSet(total - 1)), softmax(logits)
+
+
+class TestAgainstPerBinLoop:
+    """clece_report bins all class planes at once; the per-bin loop is its reference."""
+
+    @staticmethod
+    def assert_same_report(y, s, bins):
+        values, diagnostics = clece_report(y, s, bins)
+        ref_values, ref_diagnostics = clece_report_loop(y, s, bins)
+        assert np.array_equal(values, ref_values)
+        assert diagnostics == ref_diagnostics
+
+    def test_random_softmax_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(320):
+            y, s = softmax_instance(rng, random_grid(rng))
+            self.assert_same_report(y, s, int(rng.integers(1, 25)))
+
+    def test_probabilities_on_bin_edges_and_slack_limits(self):
+        rng = np.random.default_rng(13)
+        for bins in (1, 2, 3, 7, 10, 24):
+            edges = np.concatenate([np.arange(bins + 1) / bins, [-PROB_SLACK, 1.0 + PROB_SLACK]])
+            for _ in range(6):
+                dims = random_grid(rng, sides=(1, 30))
+                y, s = softmax_instance(rng, dims)
+                values = rng.choice(edges, size=s.values.shape)
+                smooth = rng.random(s.values.shape) < 0.3
+                values[smooth] = s.values[smooth]
+                s = ProbabilityMap(s.shape, s.classes, values)
+                self.assert_same_report(y, s, bins)
+
+    def test_argmax_dsc_equals_dsc_of_argmax_prediction(self):
+        rng = np.random.default_rng(14)
+        for trial in range(300):
+            dims = random_grid(rng, sides=(1, 40))
+            total = int(rng.integers(2, 5))
+            # small integer logits tie often; a narrow label range leaves
+            # classes empty in both maps
+            logits = rng.integers(0, 3, size=(total, *dims)).astype(float)
+            if trial % 2:
+                logits[total - 1] = -10.0
+            y = one_hot(rng.integers(0, 1 + trial % total, size=dims), ClassSet(total - 1))
+            s = softmax(logits)
+            assert np.array_equal(argmax_dsc(y, s), dsc(y, argmax_predict(s)))
+
+    def test_evaluate_sample_builds_no_prediction_map(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        y, s = softmax_instance(rng, (9, 7))
+        monkeypatch.setattr(LabelMap, "__init__", None)  # any LabelMap built now fails
+        report = evaluate_sample(y, s)
+        monkeypatch.undo()
+        assert np.array_equal(report.dsc, dsc(y, argmax_predict(s)))
+
+
+class TestBinsArgument:
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, 3.0, "3", True, np.bool_(True), None])
+    def test_rejected(self, bins):
+        rng = np.random.default_rng(16)
+        y, s = random_instance(rng)
+        for fn in (clece, clece_report, evaluate_sample):
+            with pytest.raises(ValidationError, match="bins"):
+                fn(y, s, bins)
+
+    @pytest.mark.parametrize("bins", [np.int64(7), np.int32(7), np.uint8(7)])
+    def test_numpy_integers_accepted(self, bins):
+        rng = np.random.default_rng(17)
+        y, s = random_instance(rng)
+        values, diagnostics = clece_report(y, s, bins)
+        assert np.array_equal(values, clece(y, s, 7))
+        assert all(len(per_class) == 7 for per_class in diagnostics)
