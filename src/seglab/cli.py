@@ -61,7 +61,16 @@ from .gradcheck import (
 from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
 from .losses import LOSS_IDS, LossConfig, combined_loss, combined_value, dice_grad
 from .metrics import argmax_dsc, evaluate_sample
-from .net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
+from .net import (
+    ForwardCache,
+    SegNet,
+    backward,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+    softmax_backward,
+)
 from .optim import (
     AdamState,
     MomentumState,
@@ -314,6 +323,15 @@ def _resolved_dataset(cfg: ExperimentConfig, streams: _Streams) -> DatasetSpec:
     return replace(cfg.dataset, seed=streams.dataset_seed)
 
 
+def _checked_forward(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray, ForwardCache]:
+    # A diverging net overflows here; the finiteness check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward(net, sample.image)
+    if not np.isfinite(logits).all():
+        raise TrainingAbortError(f"non-finite logits {when} on sample {sample.id}")
+    return logits, cache
+
+
 def _sample_loss_grad(
     net: SegNet,
     sample: Sample,
@@ -321,21 +339,17 @@ def _sample_loss_grad(
     lcfg: LossConfig,
     epoch: int,
 ) -> tuple[float, np.ndarray]:
-    # A diverging run overflows here first; the finiteness checks report it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, cache = forward(net, sample.image)
-    if not np.isfinite(logits).all():
-        raise TrainingAbortError(f"non-finite logits at epoch {epoch} on sample {sample.id}")
+    logits, cache = _checked_forward(net, sample, f"at epoch {epoch}")
     probs = softmax(logits)
     value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
     grad_z = softmax_backward(probs, grad_s)
     return value, backward(net, cache, grad_z)
 
 
-def _validation_dsc(net: SegNet, samples: list[Sample]) -> np.ndarray:
+def _validation_dsc(net: SegNet, samples: list[Sample], epoch: int) -> np.ndarray:
     rows = []
     for sample in samples:
-        logits, _ = forward(net, sample.image)
+        logits, _ = _checked_forward(net, sample, f"at epoch {epoch}")
         rows.append(argmax_dsc(sample.label, softmax(logits))[1:])
     return np.array(rows)
 
@@ -343,7 +357,7 @@ def _validation_dsc(net: SegNet, samples: list[Sample]) -> np.ndarray:
 def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> dict:
     dsc_rows, clece_rows = [], []
     for sample in samples:
-        logits, _ = forward(net, sample.image)
+        logits, _ = _checked_forward(net, sample, "in testing")
         report = evaluate_sample(sample.label, softmax(logits))
         dsc_rows.append(report.dsc[1:])
         clece_rows.append(report.clece[1:])
@@ -443,7 +457,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             grad = np.mean([g for _, g in results], axis=0)
             step_cfg = replace(cfg.optimizer, eta=lr)
             theta = net.get_params()
-            # An overflowing step leaves non-finite parameters for the next check.
+            # An overflowing step leaves non-finite parameters; the next
+            # training or validation forward reports them.
             with np.errstate(over="ignore", invalid="ignore"):
                 if cfg.optimizer.kind == "sgd":
                     theta = sgd_step(theta, grad, step_cfg, momentum_state)
@@ -453,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             net.set_params(theta)
             batch_losses.append(batch_loss)
 
-        val_matrix = _validation_dsc(net, val_set)
+        val_matrix = _validation_dsc(net, val_set, epoch)
         per_class = val_matrix.mean(axis=0)
         mean_dsc = float(per_class.mean())
         log.append(

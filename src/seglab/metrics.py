@@ -59,16 +59,16 @@ def dsc(y: LabelMap, pred: LabelMap, eps: float = DSC_EPS) -> np.ndarray:
     return _dice(inter, sizes, eps)
 
 
-def argmax_dsc(y: LabelMap, s: ProbabilityMap, eps: float = DSC_EPS) -> np.ndarray:
+def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
     """Per-class hard Dice of the argmax prediction of `s`; equals
-    ``dsc(y, argmax_predict(s), eps)`` without building the one-hot map."""
+    ``dsc(y, argmax_predict(s))`` without building the one-hot map."""
     require_same_grid(y, s)
     total, n = s.values.shape
     idx = np.argmax(s.values, axis=0)
     hit = y.values.reshape(-1)[idx * n + np.arange(n)]  # label of the predicted class
     inter = np.bincount(idx, weights=hit, minlength=total)
     sizes = y.values.sum(axis=1) + np.bincount(idx, minlength=total)
-    return _dice(inter, sizes, eps)
+    return _dice(inter, sizes, DSC_EPS)
 
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:

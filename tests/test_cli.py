@@ -384,14 +384,29 @@ class TestBadInput:
         line = self.single_error_line(capsys)
         assert "epoch 0" in line and target.id in line
 
-    @pytest.mark.parametrize("eta", [1e300, 1e308])
-    def test_diverging_run_reports_only_the_error_line(self, tmp_path, capsys, eta):
-        data = tiny_config(epochs=2, optimizer={"kind": "sgd", "eta": eta}, output_dir=str(tmp_path / "run"))
+    @pytest.mark.parametrize(
+        "eta, batch_size, where",
+        [
+            (1e300, 2, "epoch 0 on sample acdc_like-train-"),
+            (1e308, 2, "epoch 0 on sample acdc_like-train-"),
+            # one step per epoch: validation is the first forward after it
+            (1e300, 8, "epoch 0 on sample acdc_like-val-"),
+            (1e100, 8, "epoch 1 on sample acdc_like-val-"),
+        ],
+    )
+    def test_diverging_run_reports_only_the_error_line(self, tmp_path, capsys, eta, batch_size, where):
+        data = tiny_config(
+            epochs=2,
+            optimizer={"kind": "sgd", "eta": eta},
+            batch_size=batch_size,
+            output_dir=str(tmp_path / "run"),
+        )
         cfg_path = write_config(tmp_path, data)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["train", "--config", str(cfg_path)]) == 2
-        assert "non-finite logits" in self.single_error_line(capsys)
+        line = self.single_error_line(capsys)
+        assert "non-finite logits" in line and where in line
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_misspelled_keys_rejected_before_defaults_apply(self):
