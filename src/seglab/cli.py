@@ -43,7 +43,7 @@ import argparse
 import ctypes
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,7 @@ from .gradcheck import (
     max_relative_error,
 )
 from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
+from .imgio import write_atomic
 from .losses import LOSS_IDS, LossConfig, combined_loss, combined_value, dice_grad
 from .metrics import argmax_dsc, evaluate_sample
 from .net import (
@@ -108,7 +109,7 @@ AUDIT_TERM_SETS = (
 AUDIT_TRIALS = 25
 AUDIT_TOLERANCE = 1e-5
 
-_OPT_FIELDS = ("eta", "lam", "momentum", "weight_decay", "beta1", "beta2", "adam_eps")
+_OPT_FIELDS = tuple(f.name for f in fields(OptimizerConfig) if f.name != "kind")
 _CONFIG_KEYS = ("dataset", "loss", "optimizer", "epochs", "batch_size", "seed", "augment", "output_dir")
 _DATASET_KEYS = tuple(f.name for f in fields(DatasetSpec))
 
@@ -232,8 +233,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     kind = loss("kind", str, "dice")
     if kind == "combined":
         terms = loss("terms", lambda v: tuple((str(lid), _as_float(lam)) for lid, lam in v), ())
-        if not terms:
-            raise ConfigError('combined loss needs a non-empty "terms" list')
     elif kind in LOSS_IDS:
         terms = ((kind, 1.0),)
     else:
@@ -266,17 +265,9 @@ def config_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
     if cfg.loss_kind == "combined":
         loss["terms"] = [[lid, lam] for lid, lam in cfg.loss_terms]
     data = {
-        "dataset": {
-            "kind": cfg.dataset.kind,
-            "image_size": list(cfg.dataset.image_size),
-            "train": cfg.dataset.train,
-            "val": cfg.dataset.val,
-            "test": cfg.dataset.test,
-            "noise_sigma": cfg.dataset.noise_sigma,
-            "seed": cfg.dataset.seed,
-        },
+        "dataset": asdict(cfg.dataset) | {"image_size": list(cfg.dataset.image_size)},
         "loss": loss,
-        "optimizer": {"kind": cfg.optimizer.kind, **{k: getattr(cfg.optimizer, k) for k in _OPT_FIELDS}},
+        "optimizer": asdict(cfg.optimizer),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "seed": cfg.seed,
@@ -376,19 +367,18 @@ def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> 
     }
 
 
+def _write_csv(path: Path, rows: list[list[str]]) -> Path:
+    return write_atomic(path, "".join(",".join(row) + "\n" for row in rows).encode("utf-8"))
+
+
 def _write_curve_csv(path: Path, log: RunLog, count_objects: int) -> None:
-    header = "epoch," + ",".join(f"dsc_k{k}" for k in range(1, count_objects + 1)) + ",dsc_mean,lr"
-    lines = [header]
-    for rec in log:
-        cells = [str(rec.epoch)]
-        cells += [repr(v) for v in rec.val_dsc]
-        cells += [repr(rec.val_dsc_mean), repr(rec.lr)]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["epoch", *(f"dsc_k{k}" for k in range(1, count_objects + 1)), "dsc_mean", "lr"]
+    rows = [[str(rec.epoch), *map(repr, rec.val_dsc), repr(rec.val_dsc_mean), repr(rec.lr)] for rec in log]
+    _write_csv(path, [header, *rows])
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 # mallopt parameter numbers from glibc's malloc.h.
@@ -552,16 +542,12 @@ def run_comparison(cfgs: list[ExperimentConfig], out_dir: str | Path) -> tuple[P
         results.append(run_experiment(cfg))
 
     count_objects = cfgs[0].dataset.classes.count_objects
-    header = "loss,optimizer," + ",".join(f"dsc_k{k}" for k in range(1, count_objects + 1)) + ",dsc_mean"
-    lines = [header]
-    for res in results:
-        tm = res.test_metrics
-        cells = [tm["loss"], tm["optimizer"]]
-        cells += [repr(v) for v in tm["per_class_dsc_mean"]]
-        cells.append(repr(tm["mean_dsc"]))
-        lines.append(",".join(cells))
-    table = out / "comparison.csv"
-    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = ["loss", "optimizer", *(f"dsc_k{k}" for k in range(1, count_objects + 1)), "dsc_mean"]
+    rows = [
+        [tm["loss"], tm["optimizer"], *map(repr, tm["per_class_dsc_mean"]), repr(tm["mean_dsc"])]
+        for tm in (res.test_metrics for res in results)
+    ]
+    table = _write_csv(out / "comparison.csv", [header, *rows])
 
     print(f"{'loss':<10}{'optimizer':<11}" + "".join(f"{'k' + str(k):>14}" for k in range(1, count_objects + 1)) + f"{'mean':>14}")
     for res in results:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
 from .grid import PROB_SLACK, ClassOverlapStats, GradientMap, ProbabilityMap
-from .imgio import write_pfm
+from .imgio import write_atomic, write_pfm
 
 __all__ = [
     "FD_STEP",
@@ -188,6 +188,4 @@ class GradAuditReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json(), encoding="utf-8")
-        return path
+        return write_atomic(path, self.to_json().encode("utf-8"))

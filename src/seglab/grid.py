@@ -181,12 +181,16 @@ def require_same_grid(a: _PlaneMap, b: _PlaneMap) -> None:
         )
 
 
+def overlap_sums(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class I = sum_i y*s and U = sum_i (y + s) over the last axis; ``s``
+    may carry leading axes, such as the probe axis of a probe stack."""
+    return (y * s).sum(axis=-1), (y + s).sum(axis=-1)
+
+
 def overlap_stats(y: LabelMap, s: ProbabilityMap) -> ClassOverlapStats:
     """Per-class I = sum_i y*s and U = sum_i (y + s)."""
     require_same_grid(y, s)
-    intersection = (y.values * s.values).sum(axis=1)
-    union_sum = (y.values + s.values).sum(axis=1)
-    return ClassOverlapStats(intersection, union_sum)
+    return ClassOverlapStats(*overlap_sums(y.values, s.values))
 
 
 def one_hot_from_indices(idx: np.ndarray, classes: ClassSet) -> LabelMap:

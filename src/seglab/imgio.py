@@ -12,13 +12,33 @@ trailing bytes) and raise ValidationError for any other content.
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["write_pfm", "read_pfm", "write_pgm16", "read_pgm16"]
+__all__ = ["write_atomic", "write_pfm", "read_pfm", "write_pgm16", "read_pgm16"]
+
+
+def write_atomic(path: str | Path, data: bytes) -> Path:
+    """Write every seglab artifact: a temp file in the same directory, then os.replace.
+
+    An exception leaves the previous file in place and no temp file behind; a
+    killed process may leave the temp file but never a partial file at path.
+    Not fsynced, so a power loss is not covered.  The temp name holds the
+    process id: one writer per path at a time.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
 
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
@@ -27,9 +47,8 @@ def write_pfm(path: str | Path, image: np.ndarray) -> None:
     if img.ndim != 2:
         raise ValidationError(f"PFM export needs a 2-D plane, got shape {img.shape}")
     height, width = img.shape
-    with open(path, "wb") as f:
-        f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
-        f.write(np.flipud(img).astype("<f4").tobytes())
+    header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
+    write_atomic(path, header + np.flipud(img).astype("<f4").tobytes())
 
 
 def _read(path: str | Path, tag: str, bytes_per_pixel: int) -> tuple[str, int, int, bytes]:
@@ -80,9 +99,8 @@ def write_pgm16(path: str | Path, values: np.ndarray) -> None:
     if arr.min() < 0 or arr.max() > 65535:
         raise ValidationError("PGM values must lie in [0, 65535]")
     height, width = arr.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{width} {height}\n65535\n".encode("ascii"))
-        f.write(arr.astype(">u2").tobytes())
+    header = f"P5\n{width} {height}\n65535\n".encode("ascii")
+    write_atomic(path, header + arr.astype(">u2").tobytes())
 
 
 def read_pgm16(path: str | Path) -> np.ndarray:

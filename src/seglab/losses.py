@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError, ValidationError
-from .grid import GradientMap, LabelMap, ProbabilityMap, overlap_stats, require_same_grid
+from .grid import GradientMap, LabelMap, ProbabilityMap, overlap_sums, require_same_grid
 
 __all__ = [
     "LossConfig",
@@ -85,9 +85,7 @@ def _value(v: np.ndarray) -> float | np.ndarray:
 
 def dice_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Class-averaged soft dice loss: mean_k (1 - 2 I_k / (U_k + eps))."""
-    sv = _planes(y, s)
-    intersection = (y.values * sv).sum(axis=-1)
-    union_sum = (y.values + sv).sum(axis=-1)
+    intersection, union_sum = overlap_sums(y.values, _planes(y, s))
     terms = 1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)
     return _value(terms.mean(axis=-1))
 
@@ -99,11 +97,12 @@ def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) ->
     pixels get 2 I_k / (U_k + eps)^2, both scaled by the 1/|classes| averaging
     factor of the loss.
     """
-    stats = overlap_stats(y, s)
+    require_same_grid(y, s)
+    intersection, union_sum = overlap_sums(y.values, s.values)
     class_avg = 1.0 / y.classes.total
-    denom = (stats.union_sum + cfg.epsilon) ** 2
-    fg = -2.0 * (stats.union_sum - stats.intersection) / denom * class_avg
-    bg = 2.0 * stats.intersection / denom * class_avg
+    denom = (union_sum + cfg.epsilon) ** 2
+    fg = -2.0 * (union_sum - intersection) / denom * class_avg
+    bg = 2.0 * intersection / denom * class_avg
     values = np.where(y.values == 1.0, fg[:, None], bg[:, None])
     return GradientMap(y.shape, y.classes, values)
 

@@ -2,10 +2,11 @@
 calibration error (ClECE).
 
 DSC uses a small epsilon guard in the denominator; a class that is empty in
-both maps scores 1.0 by convention.  ``argmax_dsc`` scores the argmax
-prediction of a probability map straight from its class indices: exact
-pixel counts by ``bincount``, with no one-hot prediction map, and the same
-values as ``dsc(y, argmax_predict(s))``.
+both maps scores 1.0 by convention.  ``dsc`` takes its overlap and sizes from
+``grid.overlap_sums``, the sums the dice loss uses.  ``argmax_dsc`` scores the
+argmax prediction of a probability map straight from its class indices:
+exact pixel counts by ``bincount``, with no one-hot prediction map, and the
+same values as ``dsc(y, argmax_predict(s))``.
 
 ClECE bins every pixel of a class plane into equal-width confidence bins
 [j/bins, (j+1)/bins), the first and last bins also taking the values that
@@ -19,7 +20,9 @@ boolean-masked plane takes.  Each class total adds its bins left to right.
 So every value and every ``BinStat`` is bit-identical to a per-bin loop
 (``tests/oracles.py::clece_report_loop``).  ``np.add.reduceat`` and a
 ``bincount`` weighted by confidence sum in other orders and differ from it
-in the last bits.  Reported means exclude the background class.
+in the last bits.  ``clece``, ``clece_report`` and ``evaluate_sample`` share
+this one pass; only ``clece_report`` turns its cells into ``BinStat``
+diagnostics.  Reported means exclude the background class.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import LabelMap, ProbabilityMap, require_same_grid
+from .grid import LabelMap, ProbabilityMap, one_hot_from_indices, overlap_sums, require_same_grid
 
 __all__ = [
     "DSC_EPS",
@@ -54,9 +57,7 @@ def _dice(inter: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
 def dsc(y: LabelMap, pred: LabelMap, eps: float = DSC_EPS) -> np.ndarray:
     """Per-class hard Dice: 2|A n B| / (|A| + |B| + eps); both-empty -> 1.0."""
     require_same_grid(y, pred)
-    inter = (y.values * pred.values).sum(axis=1)
-    sizes = y.values.sum(axis=1) + pred.values.sum(axis=1)
-    return _dice(inter, sizes, eps)
+    return _dice(*overlap_sums(y.values, pred.values), eps)  # U = |A| + |B|, exact for 0/1 values
 
 
 def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
@@ -73,10 +74,7 @@ def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:
     """One-hot of the per-pixel argmax; ties go to the lowest class index."""
-    idx = np.argmax(s.values, axis=0)
-    planes = np.zeros_like(s.values)
-    planes[idx, np.arange(idx.size)] = 1.0
-    return LabelMap(s.shape, s.classes, planes)
+    return one_hot_from_indices(np.argmax(s.planes(), axis=0), s.classes)
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,9 @@ def _bin_count(bins: object) -> int:
     return int(bins)
 
 
-def clece_report(
-    y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
-) -> tuple[np.ndarray, list[list[BinStat]]]:
-    """Per-class ClECE values plus the underlying bin diagnostics."""
+def _clece_cells(y: LabelMap, s: ProbabilityMap, bins: int) -> tuple[np.ndarray, ...]:
+    """Per-class ClECE, then each cell's pixel count, mean confidence and mean
+    label, shaped (classes.total, bins)."""
     require_same_grid(y, s)
     bins = _bin_count(bins)
     total, n = s.values.shape
@@ -120,14 +117,21 @@ def clece_report(
     accuracy = np.divide(label_sums, counts, out=np.zeros(cells), where=counts > 0)
     gaps = (counts / n * np.abs(accuracy - confidence)).reshape(total, bins)
     values = np.cumsum(gaps, axis=1)[:, -1]  # bins added left to right
-    stats = list(map(BinStat, counts.tolist(), confidence.tolist(), accuracy.tolist()))
-    return values, [stats[k * bins : (k + 1) * bins] for k in range(total)]
+    return values, *(c.reshape(total, bins) for c in (counts, confidence, accuracy))
+
+
+def clece_report(
+    y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
+) -> tuple[np.ndarray, list[list[BinStat]]]:
+    """Per-class ClECE values plus the underlying bin diagnostics."""
+    values, counts, confidence, accuracy = _clece_cells(y, s, bins)
+    per_class = zip(counts.tolist(), confidence.tolist(), accuracy.tolist())
+    return values, [list(map(BinStat, *cells)) for cells in per_class]
 
 
 def clece(y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Per-class classwise expected calibration error."""
-    values, _ = clece_report(y, s, bins)
-    return values
+    return _clece_cells(y, s, bins)[0]
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,6 @@ class ClassMetricReport:
     clece: np.ndarray  # (total,)
     mean_dsc: float
     mean_clece: float
-    bins: list[list[BinStat]]
 
 
 def evaluate_sample(
@@ -146,11 +149,10 @@ def evaluate_sample(
 ) -> ClassMetricReport:
     """Hard-prediction DSC plus calibration for one (label, probability) pair."""
     dice_values = argmax_dsc(y, s)
-    cal_values, diagnostics = clece_report(y, s, bins)
+    cal_values = clece(y, s, bins)
     return ClassMetricReport(
         dsc=dice_values,
         clece=cal_values,
         mean_dsc=float(dice_values[1:].mean()),
         mean_clece=float(cal_values[1:].mean()),
-        bins=diagnostics,
     )

@@ -32,6 +32,7 @@ Checkpoint format (single file):
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, StaleCacheError, ValidationError
 from .grid import ClassSet, GradientMap, GridShape, ProbabilityMap
+from .imgio import write_atomic
 
 __all__ = [
     "ConvLayer",
@@ -275,17 +277,16 @@ def save_checkpoint(
         "best_val_dsc": best_val_dsc,
         "config": config,
     }
-    path = Path(path)
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(net.get_params().astype("<f8").tobytes())
-    return path
+    block = net.get_params().astype("<f8").tobytes()
+    return write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + block)
 
 
 def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
     """Rebuild a SegNet from a checkpoint file; returns (net, header).
 
-    A malformed header or a short parameter block raises ValidationError.
+    A malformed header, a param_count other than the one hidden_channels and
+    classes_total imply, or a parameter block of any other length raises
+    ValidationError before the block is read or a net is built.
     """
     with open(path, "rb") as f:
         try:
@@ -298,14 +299,18 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
             value = header.get(key)
             if type(value) is not int or value < least:
                 raise ValidationError(f"{path}: checkpoint {key} must be an int >= {least}, not {value!r}")
-        block = f.read(header["param_count"] * 8)
-    if len(block) != header["param_count"] * 8:
-        raise ValidationError(f"truncated parameter block in {path}")
-    theta = np.frombuffer(block, dtype="<f8")
-    net = SegNet(
-        ClassSet(header["classes_total"] - 1),
-        seed=header["seed"],
-        hidden=header["hidden_channels"],
-    )
-    net.set_params(theta.astype(np.float64))
+        hidden, total = header["hidden_channels"], header["classes_total"]
+        # (k*k*in + 1) * out per layer: 3x3 1 -> h, 3x3 h -> h, 1x1 h -> K.
+        implied = (9 + 1) * hidden + (9 * hidden + 1) * hidden + (hidden + 1) * total
+        if header["param_count"] != implied:
+            raise ValidationError(
+                f"{path}: checkpoint param_count {header['param_count']} does not match the {implied} "
+                f"parameters of hidden_channels {hidden} and classes_total {total}"
+            )
+        size = implied * 8
+        if os.fstat(f.fileno()).st_size - f.tell() != size:
+            raise ValidationError(f"{path}: parameter block is not the {size} bytes param_count implies")
+        block = f.read(size)
+    net = SegNet(ClassSet(total - 1), seed=header["seed"], hidden=hidden)
+    net.set_params(np.frombuffer(block, dtype="<f8"))
     return net, header

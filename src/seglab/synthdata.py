@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ClassSet, GridShape, LabelMap
-from .imgio import write_pgm16
+from .grid import ClassSet, GridShape, LabelMap, one_hot_from_indices
+from .imgio import write_atomic, write_pgm16
 
 __all__ = [
     "DatasetSpec",
@@ -153,19 +153,7 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
         image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)
         image = np.clip(image, 0.0, 1.0)
 
-    label = LabelMap(
-        GridShape((height, width)),
-        spec.classes,
-        _one_hot_planes(idx, spec.classes.total),
-    )
-    return Sample(image=image, label=label, id=sample_id)
-
-
-def _one_hot_planes(idx: np.ndarray, total: int) -> np.ndarray:
-    flat = idx.reshape(-1)
-    planes = np.zeros((total, flat.size))
-    planes[flat, np.arange(flat.size)] = 1.0
-    return planes
+    return Sample(image=image, label=one_hot_from_indices(idx, spec.classes), id=sample_id)
 
 
 def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:
@@ -242,6 +230,5 @@ def export_dataset(
             write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.label.class_indices())
             ids.append(sample.id)
         manifest["splits"][split] = ids
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return manifest_path
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    return write_atomic(out / "manifest.json", text.encode("utf-8"))

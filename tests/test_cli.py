@@ -19,7 +19,8 @@ from seglab.cli import (
     run_experiment,
 )
 from seglab.errors import ConfigError
-from seglab.net import load_checkpoint
+from seglab.grid import ClassSet
+from seglab.net import SegNet, load_checkpoint, save_checkpoint
 from seglab.synthdata import generate
 
 TINY_DATASET = {
@@ -72,6 +73,13 @@ class TestConfigParsing:
         cfg = config_from_dict(data)
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
+
+    def test_to_dict_keeps_json_types(self):
+        data = config_to_dict(config_from_dict({}))
+        assert type(data["dataset"]["image_size"]) is list and data["dataset"]["image_size"] == [64, 64]
+        assert data["dataset"]["seed"] is None
+        assert json.loads(json.dumps(data)) == data
+        assert config_from_dict(data) == config_from_dict({})
 
     def test_combined_loss_terms(self):
         cfg = config_from_dict(
@@ -424,3 +432,23 @@ class TestBadInput:
         args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
         assert main(["gradmap", *args]) == 2
         self.single_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "change",
+        # Sizes no machine can allocate: without the header check, reading the
+        # block or building the net fails at once instead of filling memory.
+        [
+            {"param_count": 10**18},
+            {"hidden_channels": 10**6},
+            {"classes_total": 10**12},
+            {"hidden_channels": 10**6, "param_count": 9_000_013_000_002},
+        ],
+        ids=["param_count", "hidden_channels", "classes_total", "consistent_hidden_channels"],
+    )
+    def test_oversized_checkpoint_header_exit_code(self, tmp_path, capsys, change):
+        ckpt = save_checkpoint(tmp_path / "net.ckpt", SegNet(ClassSet(1), seed=0), epoch=0)
+        header, block = ckpt.read_bytes().split(b"\n", 1)
+        ckpt.write_bytes(json.dumps(json.loads(header) | change).encode("utf-8") + b"\n" + block)
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        assert "param_count" in self.single_error_line(capsys)

@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seglab.errors import SegLabError, ValidationError
-from seglab.imgio import read_pfm, read_pgm16, write_pfm, write_pgm16
+from seglab.imgio import read_pfm, read_pgm16, write_atomic, write_pfm, write_pgm16
 
 READERS = {"pfm": read_pfm, "pgm": read_pgm16}
 
@@ -90,3 +92,24 @@ def test_fuzzed_writer_output_raises_only_seglab_errors(tmp_path, kind, seed, cu
         READERS[kind](path)
     except SegLabError:
         pass
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "img.pfm"
+    image = np.arange(6.0).reshape(2, 3)
+    write_pfm(path, image)
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("simulated failure")
+
+    with pytest.raises((OSError, TypeError)):
+        if fail_at == "write":
+            write_atomic(path, "not bytes")  # raises inside the temp file's write
+        else:
+            monkeypatch.setattr(os, "replace", fail)
+            write_pfm(path, image + 1.0)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["img.pfm"]

@@ -4,7 +4,7 @@ import pytest
 from seglab.errors import ValidationError
 from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, dice_loss
-from seglab.metrics import argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
+from seglab.metrics import BinStat, argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
 from seglab.net import softmax
 
 from .oracles import clece_oracle, clece_report_loop, dsc_oracle, one_hot, random_instance
@@ -196,6 +196,8 @@ class TestAgainstPerBinLoop:
         ref_values, ref_diagnostics = clece_report_loop(y, s, bins)
         assert np.array_equal(values, ref_values)
         assert diagnostics == ref_diagnostics
+        assert np.array_equal(clece(y, s, bins), ref_values)
+        assert np.array_equal(evaluate_sample(y, s, bins).clece, ref_values)
 
     def test_random_softmax_instances(self):
         rng = np.random.default_rng(12)
@@ -237,6 +239,14 @@ class TestAgainstPerBinLoop:
         report = evaluate_sample(y, s)
         monkeypatch.undo()
         assert np.array_equal(report.dsc, dsc(y, argmax_predict(s)))
+
+    def test_evaluate_sample_builds_no_bin_stats(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        y, s = softmax_instance(rng, (9, 7))
+        monkeypatch.setattr(BinStat, "__init__", None)  # any BinStat built now fails
+        report = evaluate_sample(y, s)
+        monkeypatch.undo()
+        assert np.array_equal(report.clece, clece_report(y, s)[0])
 
 
 class TestBinsArgument:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from seglab.errors import ShapeMismatchError, StaleCacheError, ValidationError
+from seglab.errors import SegLabError, ShapeMismatchError, StaleCacheError, ValidationError
 from seglab.grid import ClassSet, GradientMap, GridShape, ProbabilityMap
 from seglab.losses import LossConfig, combined_loss
 from seglab.net import (
@@ -305,3 +307,35 @@ class TestParamsAndCheckpoint:
         path.write_bytes(header + bytes(800))
         with pytest.raises(ValidationError):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = save_checkpoint(tmp_path / "net.ckpt", make_net(), epoch=0)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ValidationError, match="parameter block"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        count_objects=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        in_header=st.booleans(),
+        cut=st.floats(0.0, 1.0, exclude_max=True),
+        flip=st.integers(0, 255),
+    )
+    def test_fuzzed_checkpoint_raises_only_seglab_errors(self, tmp_path, count_objects, seed, in_header, cut, flip):
+        """Truncate a saved checkpoint (flip == 0) or XOR one byte with flip,
+        in the header or in the block; only SegLabError may escape."""
+        net = make_net(count_objects, seed=seed)
+        path = save_checkpoint(tmp_path / "fuzz.ckpt", net, epoch=3, best_val_dsc=0.5, config={"seed": seed})
+        raw = bytearray(path.read_bytes())
+        header_len = raw.index(b"\n") + 1
+        at = int(cut * header_len) if in_header else header_len + int(cut * (len(raw) - header_len))
+        if flip:
+            raw[at] ^= flip
+        else:
+            del raw[at:]
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except SegLabError:
+            pass

@@ -18,6 +18,8 @@ from seglab.synthdata import (
     generate,
 )
 
+from .oracles import one_hot
+
 SMALL = DatasetSpec(kind="acdc_like", train=4, val=2, test=2, seed=7)
 
 
@@ -96,6 +98,14 @@ class TestGenerate:
         train, _, _ = generate(SMALL)
         for s in train:
             assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+
+    def test_labels_equal_loop_built_one_hot(self):
+        promise = DatasetSpec(kind="promise_like", image_size=(48, 40), train=2, val=1, test=1, seed=3)
+        for split in (*generate(SMALL), *generate(promise)):
+            for s in split:
+                expected = one_hot(s.label.class_indices(), s.label.classes)
+                assert s.label.shape == expected.shape
+                assert np.array_equal(s.label.values, expected.values)
 
 
 @pytest.fixture(scope="module")
