@@ -58,19 +58,20 @@ from .gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
+from .grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
 from .imgio import write_atomic
-from .losses import LOSS_IDS, LossConfig, combined_loss, combined_value, dice_grad
-from .metrics import argmax_dsc, evaluate_sample
+from .losses import LOSS_IDS, LossConfig, _combined, combined_loss, combined_value, dice_grad
+from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
 from .net import (
     ForwardCache,
     SegNet,
+    _softmax,
+    _softmax_backward,
     backward,
     forward,
     load_checkpoint,
     save_checkpoint,
     softmax,
-    softmax_backward,
 )
 from .optim import (
     AdamState,
@@ -323,6 +324,14 @@ def _checked_forward(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray
     return logits, cache
 
 
+def _probabilities(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray, ForwardCache]:
+    """Checked forward, then the softmax as a raw (classes.total, pixel_count) array."""
+    logits, cache = _checked_forward(net, sample, when)
+    s = _softmax(logits.reshape(logits.shape[0], -1))
+    ProbabilityMap.check(s)
+    return s, cache
+
+
 def _sample_loss_grad(
     net: SegNet,
     sample: Sample,
@@ -330,28 +339,27 @@ def _sample_loss_grad(
     lcfg: LossConfig,
     epoch: int,
 ) -> tuple[float, np.ndarray]:
-    logits, cache = _checked_forward(net, sample, f"at epoch {epoch}")
-    probs = softmax(logits)
-    value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
-    grad_z = softmax_backward(probs, grad_s)
-    return value, backward(net, cache, grad_z)
+    s, cache = _probabilities(net, sample, f"at epoch {epoch}")
+    value, grad_s = _combined(terms, sample.label.values, s, lcfg)
+    GradientMap.check(grad_s)
+    grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
+    return float(value), backward(net, cache, grad_z)
 
 
 def _validation_dsc(net: SegNet, samples: list[Sample], epoch: int) -> np.ndarray:
     rows = []
     for sample in samples:
-        logits, _ = _checked_forward(net, sample, f"at epoch {epoch}")
-        rows.append(argmax_dsc(sample.label, softmax(logits))[1:])
+        s, _ = _probabilities(net, sample, f"at epoch {epoch}")
+        rows.append(_argmax_dsc(sample.label.values, s)[1:])
     return np.array(rows)
 
 
 def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> dict:
     dsc_rows, clece_rows = [], []
     for sample in samples:
-        logits, _ = _checked_forward(net, sample, "in testing")
-        report = evaluate_sample(sample.label, softmax(logits))
-        dsc_rows.append(report.dsc[1:])
-        clece_rows.append(report.clece[1:])
+        s, _ = _probabilities(net, sample, "in testing")
+        dsc_rows.append(_argmax_dsc(sample.label.values, s)[1:])
+        clece_rows.append(_clece_cells(sample.label.values, s, DEFAULT_BINS)[0][1:])
     dice = np.array(dsc_rows)
     calibration = np.array(clece_rows)
     return {
@@ -389,14 +397,16 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Stop glibc from handing each step's freed conv buffers back to the kernel.
 
-    At 64x64 a training step allocates and frees forward's 2.4 MB im2col matrix
-    and a few dozen arrays of 130-300 KB.  With glibc's adaptive defaults,
-    whether a free trims the heap top depends on the heap layout, so a run may
-    fault that memory back in on every step (1.2M minor page faults and a
-    third of the wall time in the kernel over 2 acdc_like epochs, against 33k
-    with this call).  Serving blocks up to 32 MB from the heap and trimming
-    only past 128 MB of free top space keeps it mapped.  A no-op without
-    mallopt.
+    At 64x64 a training step allocates and frees a few dozen arrays of
+    130-300 KB: the logits, the cached layer inputs and pre-activations, and
+    the softmax and loss arrays (the im2col matrix and backward's buffers are
+    the net's reusable scratch).  glibc's adaptive defaults raise the mmap
+    threshold only to the largest mapped block freed so far and trim the heap
+    top past twice that, so with nothing larger freed the heap top is trimmed
+    and faulted back in on every step: 261k-366k minor page faults over 2
+    acdc_like epochs of 500 samples without this call, against 27k with it.
+    Serving blocks up to 32 MB from the heap and trimming only past 128 MB of
+    free top space keeps it mapped.  A no-op without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -595,9 +605,9 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
             _, analytic = combined_loss(terms, labels, probs, lcfg)
             numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
             max_err = max(max_err, max_relative_error(analytic, numeric))
-            if terms == (("dice", 1.0),):
+            if terms == (("dice", 1.0),):  # analytic is then dice_grad(labels, probs, lcfg)
                 violations += audit_bound(
-                    dice_grad(labels, probs, lcfg),
+                    analytic,
                     overlap_stats(labels, probs),
                     1.0 / labels.classes.total,
                     epsilon=lcfg.epsilon,

@@ -95,11 +95,13 @@ class _PlaneMap:
                     f"values shape {arr.shape} does not match "
                     f"{self.classes.total} classes on grid {self.shape.dims}"
                 )
-        self._check(arr)
+        self.check(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    def _check(self, arr: np.ndarray) -> None:
+    @staticmethod
+    def check(arr: np.ndarray) -> None:
+        """Raise ValidationError unless the flat array may be this map's values."""
         raise NotImplementedError
 
     def planes(self) -> np.ndarray:
@@ -114,7 +116,8 @@ class _PlaneMap:
 class LabelMap(_PlaneMap):
     """One-hot ground truth: exactly one active class per pixel."""
 
-    def _check(self, arr: np.ndarray) -> None:
+    @staticmethod
+    def check(arr: np.ndarray) -> None:
         if not ((arr == 0.0) | (arr == 1.0)).all():
             raise ValidationError("label values must be exactly 0 or 1")
         if not (arr.sum(axis=0) == 1.0).all():
@@ -136,7 +139,8 @@ class ProbabilityMap(_PlaneMap):
     finite-difference oracle keeps its probes of the losses inside it.
     """
 
-    def _check(self, arr: np.ndarray) -> None:
+    @staticmethod
+    def check(arr: np.ndarray) -> None:
         if not np.isfinite(arr).all():
             raise ValidationError("probabilities must be finite")
         if arr.size and (arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK):
@@ -149,7 +153,8 @@ class ProbabilityMap(_PlaneMap):
 class GradientMap(_PlaneMap):
     """Per-pixel, per-class partial derivatives of a scalar loss."""
 
-    def _check(self, arr: np.ndarray) -> None:
+    @staticmethod
+    def check(arr: np.ndarray) -> None:
         if not np.isfinite(arr).all():
             raise ValidationError("gradient values must be finite")
 

@@ -12,6 +12,15 @@ probabilities.  Given a ``ProbabilityMap`` it returns a float; given a raw
 float64 stack of probes shaped ``(n, classes.total, pixel_count)``, such as the
 finite-difference oracle evaluates, it returns the ``n`` values, each equal to
 the float the same probe gives as a map.
+
+Each loss's value and gradient are computed once, by a private kernel on raw
+arrays: one-hot labels ``yv`` shaped ``(classes.total, pixel_count)`` and
+probabilities ``sv`` shaped like ``yv`` (or a probe stack, for the value
+alone).  A kernel returns ``(value, gradient)``; ``grad=False`` lets it skip
+the gradient and return None for it.  The dice kernel takes ``I`` and ``U``
+from one ``overlap_sums`` call for both.  ``_combined`` sums the kernels of a
+term set; the public functions check the grid and wrap its result, and the
+training step calls it directly.
 """
 from __future__ import annotations
 
@@ -65,6 +74,56 @@ class LossConfig:
 Probs = ProbabilityMap | np.ndarray
 
 
+def _dice(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    intersection, union_sum = overlap_sums(yv, sv)
+    value = (1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)).mean(axis=-1)
+    if not grad:
+        return value, None
+    class_avg = 1.0 / yv.shape[0]
+    denom = (union_sum + cfg.epsilon) ** 2
+    fg = -2.0 * (union_sum - intersection) / denom * class_avg
+    bg = 2.0 * intersection / denom * class_avg
+    return value, np.where(yv == 1.0, fg[:, None], bg[:, None])
+
+
+def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    norm = yv.size
+    safe = np.maximum(sv, CE_CLAMP)
+    value = -(yv * np.log(safe)).sum(axis=(-2, -1)) / norm
+    return value, (-yv / (norm * safe) if grad else None)
+
+
+def _mime_weights(yv: np.ndarray, a: float, b: float) -> np.ndarray:
+    if not (a > 0 and b > 0):
+        raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
+    return -a * yv + b * (1.0 - yv)
+
+
+def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    w = _mime_weights(yv, cfg.mime_a, cfg.mime_b)
+    return (w * sv).sum(axis=(-2, -1)), w
+
+
+def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    return (-yv * sv).sum(axis=(-2, -1)), -yv
+
+
+_KERNELS = {"ce": _ce, "dice": _dice, "mime": _mime, "nm": _nm}
+
+
+def _combined(terms, yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    """sum_j lambda_j (L_j, grad L_j) over raw arrays, each sum started at 0.0
+    and taken term by term (the gradient sum stays 0.0 when grad is False);
+    the terms must already be validated."""
+    value, total = 0.0, 0.0
+    for loss_id, lam in terms:
+        v, g = _KERNELS[loss_id](yv, sv, cfg, grad)
+        value = value + lam * v
+        if grad:
+            total = total + lam * g
+    return value, total
+
+
 def _planes(y: LabelMap, s: Probs) -> np.ndarray:
     """The probabilities of s: a map's values, or a raw (n, K, P) stack checked against y."""
     if isinstance(s, ProbabilityMap):
@@ -83,11 +142,18 @@ def _value(v: np.ndarray) -> float | np.ndarray:
     return float(v) if v.ndim == 0 else v
 
 
+def _loss(kernel, y: LabelMap, s: Probs, cfg: LossConfig) -> float | np.ndarray:
+    return _value(kernel(y.values, _planes(y, s), cfg, grad=False)[0])
+
+
+def _grad(kernel, y: LabelMap, s: ProbabilityMap, cfg: LossConfig) -> GradientMap:
+    require_same_grid(y, s)
+    return GradientMap(y.shape, y.classes, kernel(y.values, s.values, cfg)[1])
+
+
 def dice_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Class-averaged soft dice loss: mean_k (1 - 2 I_k / (U_k + eps))."""
-    intersection, union_sum = overlap_sums(y.values, _planes(y, s))
-    terms = 1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)
-    return _value(terms.mean(axis=-1))
+    return _loss(_dice, y, s, cfg)
 
 
 def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
@@ -97,57 +163,42 @@ def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) ->
     pixels get 2 I_k / (U_k + eps)^2, both scaled by the 1/|classes| averaging
     factor of the loss.
     """
-    require_same_grid(y, s)
-    intersection, union_sum = overlap_sums(y.values, s.values)
-    class_avg = 1.0 / y.classes.total
-    denom = (union_sum + cfg.epsilon) ** 2
-    fg = -2.0 * (union_sum - intersection) / denom * class_avg
-    bg = 2.0 * intersection / denom * class_avg
-    values = np.where(y.values == 1.0, fg[:, None], bg[:, None])
-    return GradientMap(y.shape, y.classes, values)
+    return _grad(_dice, y, s, cfg)
 
 
 def ce_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Cross-entropy averaged over classes and pixels."""
-    norm = y.classes.total * y.shape.pixel_count
-    safe = np.maximum(_planes(y, s), CE_CLAMP)
-    return _value(-(y.values * np.log(safe)).sum(axis=(-2, -1)) / norm)
+    return _loss(_ce, y, s, cfg)
 
 
 def ce_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """Cross-entropy gradient: -y / (|classes| |pixels| s), zero off the labels."""
-    require_same_grid(y, s)
-    norm = y.classes.total * y.shape.pixel_count
-    values = -y.values / (norm * np.maximum(s.values, CE_CLAMP))
-    return GradientMap(y.shape, y.classes, values)
+    return _grad(_ce, y, s, cfg)
 
 
 def mime_weights(y: LabelMap, a: float, b: float) -> np.ndarray:
     """Weight map omega = -a*y + b*(1 - y) with a, b > 0, shaped like y.values."""
-    if not (a > 0 and b > 0):
-        raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
-    return -a * y.values + b * (1.0 - y.values)
+    return _mime_weights(y.values, a, b)
 
 
 def mime_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Inner product of the flattened weight map with the probabilities."""
-    w = mime_weights(y, cfg.mime_a, cfg.mime_b)
-    return _value((w * _planes(y, s)).sum(axis=(-2, -1)))
+    return _loss(_mime, y, s, cfg)
 
 
 def mime_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """The mime gradient is the weight map itself, independent of s."""
-    return GradientMap(y.shape, y.classes, mime_weights(y, cfg.mime_a, cfg.mime_b))
+    return _grad(_mime, y, s, cfg)
 
 
 def nm_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
     """Fully simplified linear loss -y.s; safe for training only when K >= 2."""
-    return _value((-y.values * _planes(y, s)).sum(axis=(-2, -1)))
+    return _loss(_nm, y, s, cfg)
 
 
 def nm_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
     """Gradient of nm_loss: exactly -y."""
-    return GradientMap(y.shape, y.classes, -y.values)
+    return _grad(_nm, y, s, cfg)
 
 
 LOSSES = {
@@ -159,6 +210,16 @@ LOSSES = {
 LOSS_IDS = tuple(LOSSES)
 
 
+def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    terms = list(terms)
+    if not terms:
+        raise ConfigError("combined loss needs at least one (loss id, weight) term")
+    for loss_id, _ in terms:
+        if loss_id not in LOSSES:
+            raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
+    return terms
+
+
 def combined_value(
     terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
     y: LabelMap,
@@ -166,15 +227,8 @@ def combined_value(
     cfg: LossConfig = LossConfig(),
 ) -> float | np.ndarray:
     """Weighted sum of loss values, sum_j lambda_j L_j, for a map or a probe stack."""
-    terms = list(terms)
-    if not terms:
-        raise ConfigError("combined loss needs at least one (loss id, weight) term")
-    total = 0.0
-    for loss_id, lam in terms:
-        if loss_id not in LOSSES:
-            raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
-        total = total + lam * LOSSES[loss_id][0](y, s, cfg)
-    return total
+    terms = _checked_terms(terms)
+    return _value(_combined(terms, y.values, _planes(y, s), cfg, grad=False)[0])
 
 
 def combined_loss(
@@ -184,9 +238,7 @@ def combined_loss(
     cfg: LossConfig = LossConfig(),
 ) -> tuple[float, GradientMap]:
     """Weighted sum of losses and gradients: sum_j lambda_j (L_j, grad L_j)."""
-    terms = list(terms)
-    total = combined_value(terms, y, s, cfg)
-    grad = np.zeros((y.classes.total, y.shape.pixel_count))
-    for loss_id, lam in terms:
-        grad = grad + lam * LOSSES[loss_id][1](y, s, cfg).values
-    return total, GradientMap(y.shape, y.classes, grad)
+    terms = _checked_terms(terms)
+    require_same_grid(y, s)
+    value, grad = _combined(terms, y.values, s.values, cfg)
+    return float(value), GradientMap(y.shape, y.classes, grad)

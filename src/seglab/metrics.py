@@ -6,15 +6,21 @@ both maps scores 1.0 by convention.  ``dsc`` takes its overlap and sizes from
 ``grid.overlap_sums``, the sums the dice loss uses.  ``argmax_dsc`` scores the
 argmax prediction of a probability map straight from its class indices:
 exact pixel counts by ``bincount``, with no one-hot prediction map, and the
-same values as ``dsc(y, argmax_predict(s))``.
+same values as ``dsc(y, argmax_predict(s))``.  Both take the argmax from one
+strict ``>`` chain over the class planes, so ties go to the lowest class.
+
+The public functions check once that labels and probabilities share a grid,
+then run private kernels on the raw ``(classes.total, pixel_count)`` arrays;
+the training engine calls those kernels directly.
 
 ClECE bins every pixel of a class plane into equal-width confidence bins
 [j/bins, (j+1)/bins), the first and last bins also taking the values that
 stray below 0 and above 1, and normalizes by the full pixel count.  All
-class planes are binned in one pass over keys ``k * bins + b``.  Pixel and
-label counts per bin come from ``bincount`` and are exact, since labels are
-0/1.  Confidence sums come from a stable sort of the keys, so each bin's
-pixels lie contiguous and in pixel order, and one ``np.add.reduce`` per
+class planes are binned in one pass over keys ``k * bins + b``.  A stable
+sort of the keys lays each bin's pixels out contiguously and in pixel order.
+Pixel counts per bin come from the bin edges in the sorted keys, and label
+counts from a ``bincount`` of the keys of labeled pixels; both are exact,
+since labels are 0/1.  Confidence sums take one ``np.add.reduce`` per
 non-empty bin: the same pairwise sum over the same values that the mean of a
 boolean-masked plane takes.  Each class total adds its bins left to right.
 So every value and every ``BinStat`` is bit-identical to a per-bin loop
@@ -60,21 +66,38 @@ def dsc(y: LabelMap, pred: LabelMap, eps: float = DSC_EPS) -> np.ndarray:
     return _dice(*overlap_sums(y.values, pred.values), eps)  # U = |A| + |B|, exact for 0/1 values
 
 
+def _argmax(sv: np.ndarray) -> np.ndarray:
+    """Class index of the largest value per pixel of raw (classes.total, P)
+    planes; ties go to the lowest class, as with np.argmax, which takes about
+    twice as long on four 64x64 planes."""
+    idx = np.zeros(sv.shape[1], dtype=np.intp)
+    best = sv[0]
+    for k in range(1, sv.shape[0]):
+        idx[sv[k] > best] = k  # strictly greater: an equal later class does not win
+        best = np.maximum(best, sv[k])
+    return idx
+
+
+def _argmax_dsc(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """argmax_dsc on raw (classes.total, pixel_count) arrays."""
+    total, n = sv.shape
+    idx = _argmax(sv)
+    hit = yv.reshape(-1)[idx * n + np.arange(n)]  # label of the predicted class
+    inter = np.bincount(idx, weights=hit, minlength=total)
+    sizes = yv.sum(axis=1) + np.bincount(idx, minlength=total)
+    return _dice(inter, sizes, DSC_EPS)
+
+
 def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
     """Per-class hard Dice of the argmax prediction of `s`; equals
     ``dsc(y, argmax_predict(s))`` without building the one-hot map."""
     require_same_grid(y, s)
-    total, n = s.values.shape
-    idx = np.argmax(s.values, axis=0)
-    hit = y.values.reshape(-1)[idx * n + np.arange(n)]  # label of the predicted class
-    inter = np.bincount(idx, weights=hit, minlength=total)
-    sizes = y.values.sum(axis=1) + np.bincount(idx, minlength=total)
-    return _dice(inter, sizes, DSC_EPS)
+    return _argmax_dsc(y.values, s.values)
 
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:
     """One-hot of the per-pixel argmax; ties go to the lowest class index."""
-    return one_hot_from_indices(np.argmax(s.planes(), axis=0), s.classes)
+    return one_hot_from_indices(_argmax(s.values).reshape(s.shape.dims), s.classes)
 
 
 @dataclass(frozen=True)
@@ -92,22 +115,24 @@ def _bin_count(bins: object) -> int:
     return int(bins)
 
 
-def _clece_cells(y: LabelMap, s: ProbabilityMap, bins: int) -> tuple[np.ndarray, ...]:
+def _clece_cells(yv: np.ndarray, sv: np.ndarray, bins: int) -> tuple[np.ndarray, ...]:
     """Per-class ClECE, then each cell's pixel count, mean confidence and mean
-    label, shaped (classes.total, bins)."""
-    require_same_grid(y, s)
+    label, shaped (classes.total, bins), from raw (classes.total, pixel_count)
+    arrays."""
     bins = _bin_count(bins)
-    total, n = s.values.shape
+    total, n = sv.shape
     cells = total * bins
-    bin_idx = np.clip(np.floor(s.values * bins).astype(np.int64), 0, bins - 1)
-    key = (bin_idx + np.arange(0, cells, bins)[:, None]).reshape(-1)
-    counts = np.bincount(key, minlength=cells)
-    label_sums = np.bincount(key, weights=y.values.reshape(-1), minlength=cells)
+    key_type = np.min_scalar_type(cells - 1)
+    bin_idx = np.floor(sv * bins)
+    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
+    key = (bin_idx.astype(key_type) + np.arange(0, cells, bins, dtype=key_type)[:, None]).reshape(-1)
     # A stable sort on the smallest unsigned key type (a radix sort for up to
     # 16 bits) lays each cell's pixels out contiguously in pixel order.
-    order = np.argsort(key.astype(np.min_scalar_type(cells - 1)), kind="stable")
-    grouped = s.values.reshape(-1)[order]
-    stops = np.cumsum(counts)
+    order = np.argsort(key, kind="stable")
+    grouped = sv.reshape(-1)[order]
+    stops = np.searchsorted(key[order], np.arange(1, cells + 1))
+    counts = np.diff(stops, prepend=0)
+    label_sums = np.bincount(key[yv.reshape(-1) == 1.0], minlength=cells)
     conf_sums = np.zeros(cells)
     filled = np.flatnonzero(counts)
     conf_sums[filled] = [
@@ -124,14 +149,16 @@ def clece_report(
     y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
 ) -> tuple[np.ndarray, list[list[BinStat]]]:
     """Per-class ClECE values plus the underlying bin diagnostics."""
-    values, counts, confidence, accuracy = _clece_cells(y, s, bins)
+    require_same_grid(y, s)
+    values, counts, confidence, accuracy = _clece_cells(y.values, s.values, bins)
     per_class = zip(counts.tolist(), confidence.tolist(), accuracy.tolist())
     return values, [list(map(BinStat, *cells)) for cells in per_class]
 
 
 def clece(y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Per-class classwise expected calibration error."""
-    return _clece_cells(y, s, bins)[0]
+    require_same_grid(y, s)
+    return _clece_cells(y.values, s.values, bins)[0]
 
 
 @dataclass(frozen=True)
@@ -148,8 +175,9 @@ def evaluate_sample(
     y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS
 ) -> ClassMetricReport:
     """Hard-prediction DSC plus calibration for one (label, probability) pair."""
-    dice_values = argmax_dsc(y, s)
-    cal_values = clece(y, s, bins)
+    require_same_grid(y, s)
+    dice_values = _argmax_dsc(y.values, s.values)
+    cal_values = _clece_cells(y.values, s.values, bins)[0]
     return ClassMetricReport(
         dsc=dice_values,
         clece=cal_values,

@@ -20,8 +20,19 @@ its junk entries are zero; each tap's kernel gradient is then one GEMM with
 that tap's slice of the cached input, and each tap's input gradient is added
 back onto the flat grid with one contiguous slice add.  The cache keeps each
 layer's padded, flattened input (x.reshape(C, -1) for a 1x1 layer) and its
-pre-activation.  At 64x64 the padded 8-channel input is 279 KB; the 72-row
-im2col matrix (2.4 MB) lives only during forward's GEMM.
+pre-activation.  forward writes the centered image, and each ReLU output,
+straight into the interior of the next layer's padded input.
+
+Memory ownership: the logits and every array a ForwardCache holds are freshly
+allocated by each forward call, so a later forward never changes an earlier
+cache or its logits, and backward may run on any cache that is still current.
+Arrays that never leave a call live in scratch buffers that the SegNet keeps
+per name and shape and reuses across calls: forward's im2col matrix (2.4 MB
+at 8 -> 8 channels on 64x64), backward's zero-padded upstream gradient (only
+its interior is ever written, so its junk columns stay zero), its input
+gradient grid (refilled with zeros on each call) and its per-tap GEMM output.
+So forward and backward on one net are not thread-reentrant: calls that may
+overlap need a net each.
 
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
@@ -57,6 +68,9 @@ __all__ = [
 CHECKPOINT_FORMAT = "seglab-checkpoint-v1"
 
 _HEADER_INT_MIN = {"param_count": 1, "classes_total": 2, "hidden_channels": 1, "seed": 0}
+# Header fields that have one valid value: the block is little-endian float64
+# and the net reads single-channel images.
+_HEADER_CONSTANTS = {"dtype": "<f8", "in_channels": 1}
 
 # Subtracted from input images before the first convolution.
 INPUT_CENTER = 0.5
@@ -109,6 +123,15 @@ class SegNet:
             offset = bs.stop
             self.param_slices.append((ks, bs))
         self.param_count = offset
+        self._scratch: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
+
+    def _buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The net's private scratch array of this name and shape, reused across
+        calls: zeros when first made, then whatever the last call left."""
+        key = (name, shape)
+        if key not in self._scratch:
+            self._scratch[key] = np.zeros(shape)
+        return self._scratch[key]
 
     def get_params(self) -> np.ndarray:
         """Flattened copy of all kernels and biases in layer order."""
@@ -141,29 +164,36 @@ class ForwardCache:
     layers: list[_LayerCache]
 
 
-def _conv_forward(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _padded_input(layer: ConvLayer, channels: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh zero grid for the layer's input, (in_ch, H + 2*pad, W + 2*pad), and its interior view."""
+    in_ch, k = layer.kernels.shape[1], layer.kernels.shape[2]
+    if channels != in_ch:
+        raise ShapeMismatchError(f"layer expects {in_ch} input channels, got {channels}")
+    pad = k // 2
+    grid = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
+    return grid, grid[:, pad : pad + height, pad : pad + width]
+
+
+def _conv_forward(net: SegNet, layer: ConvLayer, grid: np.ndarray) -> np.ndarray:
+    """Pre-activation of a layer over its zero-padded input grid; freshly allocated."""
     out_ch, in_ch, k, _ = layer.kernels.shape
-    if x.shape[0] != in_ch:
-        raise ShapeMismatchError(f"layer expects {in_ch} input channels, got {x.shape[0]}")
-    _, height, width = x.shape
+    height, width = grid.shape[1] - k + 1, grid.shape[2] - k + 1
     if k == 1:
-        rows = cols = x.reshape(in_ch, -1)
+        cols = grid.reshape(in_ch, -1)
     else:
-        pad = k // 2
-        grid = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
-        grid[:, pad : pad + height, pad : pad + width] = x
-        rows = grid.reshape(in_ch, -1)
-        # A GEMM straight over the tap slices of rows would save these copies,
-        # but OpenBLAS picks its kernels by matrix shape, and on some small
-        # images the extra junk columns change the last bits of the logits.
-        # H*W columns keep forward's GEMM, and so its logits, layout-free.
-        cols = np.empty((in_ch, k, k, height, width))
+        # A GEMM straight over the tap slices of the flat grid would save these
+        # copies, but OpenBLAS picks its kernels by matrix shape, and on some
+        # small images the extra junk columns change the last bits of the
+        # logits.  H*W columns keep forward's GEMM, and so its logits,
+        # layout-free.
+        cols = net._buffer("im2col", (in_ch, k, k, height, width))
         for u in range(k):
             for v in range(k):
                 cols[:, u, v] = grid[:, u : u + height, v : v + width]
         cols = cols.reshape(-1, height * width)
-    pre = (layer.kernels.reshape(out_ch, -1) @ cols).reshape(out_ch, height, width)
-    return rows, pre + layer.biases[:, None, None]
+    pre = layer.kernels.reshape(out_ch, -1) @ cols
+    pre += layer.biases[:, None]
+    return pre.reshape(out_ch, height, width)
 
 
 def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -174,13 +204,39 @@ def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D single-channel image, got shape {image.shape}")
-    x = image[None] - INPUT_CENTER
+    height, width = image.shape
+    grid, interior = _padded_input(net.layers[0], 1, height, width)
+    np.subtract(image, INPUT_CENTER, out=interior[0])
     caches = []
-    for layer in net.layers:
-        rows, pre = _conv_forward(layer, x)
-        caches.append(_LayerCache(cols=rows, pre=pre))
-        x = np.maximum(pre, 0.0) if layer.relu else pre
-    return x, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
+    for i, layer in enumerate(net.layers):
+        pre = _conv_forward(net, layer, grid)
+        caches.append(_LayerCache(cols=grid.reshape(grid.shape[0], -1), pre=pre))
+        if i + 1 == len(net.layers):
+            logits = np.maximum(pre, 0.0) if layer.relu else pre
+        else:
+            # Each activation is written straight into the next layer's padded input.
+            grid, interior = _padded_input(net.layers[i + 1], pre.shape[0], height, width)
+            if layer.relu:
+                np.maximum(pre, 0.0, out=interior)
+            else:
+                interior[...] = pre
+    return logits, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 of a raw logit array, with the max shift; a new array shaped like z."""
+    s = z - z.max(axis=0, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=0, keepdims=True)
+    return s
+
+
+def _softmax_backward(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """s * (g - sum_k g s) over axis 0 of raw arrays; a new array shaped like s."""
+    dz = g * s
+    np.subtract(g, dz.sum(axis=0, keepdims=True), out=dz)
+    dz *= s
+    return dz
 
 
 def softmax(logits: np.ndarray) -> ProbabilityMap:
@@ -188,11 +244,8 @@ def softmax(logits: np.ndarray) -> ProbabilityMap:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim < 2:
         raise ShapeMismatchError(f"logits need a class axis plus grid axes, got shape {z.shape}")
-    shifted = z - z.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=0, keepdims=True)
     classes = ClassSet(z.shape[0] - 1)
-    return ProbabilityMap(GridShape(z.shape[1:]), classes, s.reshape(z.shape[0], -1))
+    return ProbabilityMap(GridShape(z.shape[1:]), classes, _softmax(z.reshape(z.shape[0], -1)))
 
 
 def softmax_backward(s: ProbabilityMap, dL_ds: GradientMap) -> np.ndarray:
@@ -203,11 +256,7 @@ def softmax_backward(s: ProbabilityMap, dL_ds: GradientMap) -> np.ndarray:
     """
     if s.shape != dL_ds.shape or s.classes != dL_ds.classes:
         raise ShapeMismatchError("probabilities and upstream gradient live on different grids")
-    g = dL_ds.values
-    sv = s.values
-    dot = (g * sv).sum(axis=0, keepdims=True)
-    dz = sv * (g - dot)
-    return dz.reshape(s.classes.total, *s.shape.dims)
+    return _softmax_backward(s.values, dL_ds.values).reshape(s.classes.total, *s.shape.dims)
 
 
 def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
@@ -237,21 +286,30 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
         pad = k // 2
         wp = width + 2 * pad
         span = (height - 1) * wp + width
-        d = np.zeros((out_ch, height * wp))
+        # Only the interior is ever written, so the junk columns between rows
+        # keep the zeros they were created with and add nothing below.
+        d = net._buffer("d", (out_ch, height * wp))
         interior = d.reshape(out_ch, height, wp)[:, :, :width]
         if layer.relu:
             np.multiply(upstream, lc.pre > 0.0, out=interior)
         else:
             interior[...] = upstream
-        d = d[:, :span]  # the zero junk columns between rows add nothing below
+        d = d[:, :span]
         kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
         dkernels = np.empty_like(kernels)
-        dx = np.zeros_like(lc.cols)
-        for t, o in enumerate(u * wp + v for u in range(k) for v in range(k)):
+        offsets = [u * wp + v for u in range(k) for v in range(k)]
+        for t, o in enumerate(offsets):
             dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
-            if li > 0:
-                dx[:, o : o + span] += kernels[:, :, t].T @ d
         grads[li] = (dkernels.reshape(layer.kernels.shape), d.sum(axis=1))
+        if li == 0:
+            break
+        # upstream may view the later layer's dx buffer; d has already taken it.
+        dx = net._buffer("dx", lc.cols.shape)
+        dx.fill(0.0)
+        tap = net._buffer("tap", (in_ch, span))
+        for t, o in enumerate(offsets):
+            np.matmul(kernels[:, :, t].T, d, out=tap)
+            dx[:, o : o + span] += tap
         upstream = dx.reshape(in_ch, height + 2 * pad, wp)[:, pad : pad + height, pad : pad + width]
     return np.concatenate([np.concatenate([dk.ravel(), db.ravel()]) for dk, db in grads])
 
@@ -268,14 +326,13 @@ def save_checkpoint(
     header = {
         "format": CHECKPOINT_FORMAT,
         "hidden_channels": net.hidden,
-        "in_channels": 1,
         "classes_total": net.classes.total,
         "seed": net.seed,
         "epoch": int(epoch),
         "param_count": net.param_count,
-        "dtype": "<f8",
         "best_val_dsc": best_val_dsc,
         "config": config,
+        **_HEADER_CONSTANTS,
     }
     block = net.get_params().astype("<f8").tobytes()
     return write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + block)
@@ -284,9 +341,10 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
     """Rebuild a SegNet from a checkpoint file; returns (net, header).
 
-    A malformed header, a param_count other than the one hidden_channels and
-    classes_total imply, or a parameter block of any other length raises
-    ValidationError before the block is read or a net is built.
+    A malformed header, a dtype other than "<f8", an in_channels other than 1,
+    a param_count other than the one hidden_channels and classes_total imply,
+    or a parameter block of any other length raises ValidationError before the
+    block is read or a net is built.
     """
     with open(path, "rb") as f:
         try:
@@ -299,6 +357,10 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
             value = header.get(key)
             if type(value) is not int or value < least:
                 raise ValidationError(f"{path}: checkpoint {key} must be an int >= {least}, not {value!r}")
+        for key, want in _HEADER_CONSTANTS.items():
+            value = header.get(key)
+            if type(value) is not type(want) or value != want:
+                raise ValidationError(f"{path}: checkpoint {key} must be {want!r}, not {value!r}")
         hidden, total = header["hidden_channels"], header["classes_total"]
         # (k*k*in + 1) * out per layer: 3x3 1 -> h, 3x3 h -> h, 1x1 h -> K.
         implied = (9 + 1) * hidden + (9 * hidden + 1) * hidden + (hidden + 1) * total

@@ -112,7 +112,7 @@ def _acdc_masks(rng: np.random.Generator, height: int, width: int) -> list[np.nd
     carve_r = r_cres * rng.uniform(0.65, 0.85)
     carve_cx = cx_cres + r_cres * rng.uniform(0.5, 0.75)
 
-    yy, xx = np.mgrid[0:height, 0:width]
+    yy, xx = np.arange(height)[:, None], np.arange(width)[None, :]  # broadcast to the grid
     disk = _disk(yy, xx, cy, cx, r_in)
     annulus = _disk(yy, xx, cy, cx, r_out) & ~disk
     crescent = _disk(yy, xx, cy_cres, cx_cres, r_cres) & ~_disk(yy, xx, cy_cres, carve_cx, carve_r)
@@ -125,7 +125,7 @@ def _promise_masks(rng: np.random.Generator, height: int, width: int) -> list[np
     ax = m * rng.uniform(0.094, 0.219)
     cy = rng.uniform(ay + 2.0, height - ay - 2.0)
     cx = rng.uniform(ax + 2.0, width - ax - 2.0)
-    yy, xx = np.mgrid[0:height, 0:width]
+    yy, xx = np.arange(height)[:, None], np.arange(width)[None, :]  # broadcast to the grid
     ellipse = ((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0
     return [ellipse]
 
@@ -145,13 +145,12 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
         raise ValidationError(f"could not draw non-empty geometry for {sample_id}")
 
     idx = np.zeros((height, width), dtype=np.int64)
-    image = np.full((height, width), intensities[0])
     for k, mask in enumerate(masks, start=1):
-        idx[mask] = k
-        image[mask] = intensities[k]
+        np.copyto(idx, k, where=mask)  # a later mask wins where masks overlap
+    image = np.array([intensities[k] for k in range(len(masks) + 1)])[idx]
     if spec.noise_sigma > 0:
-        image = image + rng.normal(0.0, spec.noise_sigma, size=image.shape)
-        image = np.clip(image, 0.0, 1.0)
+        image += rng.normal(0.0, spec.noise_sigma, size=image.shape)
+        np.clip(image, 0.0, 1.0, out=image)
 
     return Sample(image=image, label=one_hot_from_indices(idx, spec.classes), id=sample_id)
 

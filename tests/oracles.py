@@ -1,9 +1,10 @@
 """Brute-force oracles and instance builders shared by the test modules.
 
 Everything here recomputes quantities with plain per-pixel loops, with the
-per-bin ClECE loop, or for the net with the textbook im2col/col2im
-convolution, so the package's vectorized implementations are checked against
-an independent path.
+per-bin ClECE loop, for the net with the textbook im2col/col2im convolution,
+or for the synthetic data with full np.mgrid index arrays and one masked
+assignment per class, so the package's vectorized implementations are checked
+against an independent path.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
 from seglab.metrics import BinStat
 from seglab.net import INPUT_CENTER, SegNet
+from seglab.synthdata import ACDC_INTENSITIES, MAX_GEOMETRY_RETRIES, PROMISE_INTENSITIES, DatasetSpec
 
 
 def random_instance(
@@ -223,3 +225,57 @@ def im2col_backward(net: SegNet, caches: list[tuple[np.ndarray, np.ndarray]], dL
                 dxp[:, u : u + height, v : v + width] += d[:, u, v]
         upstream = dxp[:, pad : pad + height, pad : pad + width]
     return np.concatenate([np.concatenate(pair) for pair in reversed(grads)])
+
+
+def _disk_mgrid(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float, r: float) -> np.ndarray:
+    return (yy - cy) ** 2 + (xx - cx) ** 2 <= r * r
+
+
+def _acdc_masks_mgrid(rng: np.random.Generator, height: int, width: int) -> list[np.ndarray]:
+    m = min(height, width)
+    r_in = m * rng.uniform(0.075, 0.12)
+    r_out = r_in + m * rng.uniform(0.04, 0.075)
+    r_cres = m * rng.uniform(0.10, 0.16)
+    gap = m * rng.uniform(0.016, 0.047)
+    cx_low = 1.0 + r_out + gap + 2.0 * r_cres
+    cx = rng.uniform(cx_low, width - 2.0 - r_out)
+    cy = rng.uniform(r_out + 2.0, height - r_out - 2.0)
+    cy_cres = float(np.clip(cy + m * rng.uniform(-0.047, 0.047), r_cres + 1.0, height - r_cres - 1.0))
+    cx_cres = cx - (r_out + gap + r_cres)
+    carve_r = r_cres * rng.uniform(0.65, 0.85)
+    carve_cx = cx_cres + r_cres * rng.uniform(0.5, 0.75)
+    yy, xx = np.mgrid[0:height, 0:width]
+    disk = _disk_mgrid(yy, xx, cy, cx, r_in)
+    annulus = _disk_mgrid(yy, xx, cy, cx, r_out) & ~disk
+    crescent = _disk_mgrid(yy, xx, cy_cres, cx_cres, r_cres) & ~_disk_mgrid(yy, xx, cy_cres, carve_cx, carve_r)
+    return [crescent, annulus, disk]
+
+
+def _promise_masks_mgrid(rng: np.random.Generator, height: int, width: int) -> list[np.ndarray]:
+    m = min(height, width)
+    ay = m * rng.uniform(0.094, 0.219)
+    ax = m * rng.uniform(0.094, 0.219)
+    cy = rng.uniform(ay + 2.0, height - ay - 2.0)
+    cx = rng.uniform(ax + 2.0, width - ax - 2.0)
+    yy, xx = np.mgrid[0:height, 0:width]
+    return [((yy - cy) / ay) ** 2 + ((xx - cx) / ax) ** 2 <= 1.0]
+
+
+def synthetic_sample_mgrid(spec: DatasetSpec, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(image, class index map) of one synthetic sample drawn from rng, built
+    from full np.mgrid index arrays with one masked assignment per class."""
+    height, width = spec.image_size
+    acdc = spec.kind == "acdc_like"
+    intensities = ACDC_INTENSITIES if acdc else PROMISE_INTENSITIES
+    for _ in range(MAX_GEOMETRY_RETRIES):
+        masks = (_acdc_masks_mgrid if acdc else _promise_masks_mgrid)(rng, height, width)
+        if all(mask.any() for mask in masks):
+            break
+    idx = np.zeros((height, width), dtype=np.int64)
+    image = np.full((height, width), intensities[0])
+    for k, mask in enumerate(masks, start=1):
+        idx[mask] = k
+        image[mask] = intensities[k]
+    if spec.noise_sigma > 0:
+        image = np.clip(image + rng.normal(0.0, spec.noise_sigma, size=image.shape), 0.0, 1.0)
+    return image, idx

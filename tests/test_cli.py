@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from seglab.cli import (
     run_experiment,
 )
 from seglab.errors import ConfigError
-from seglab.grid import ClassSet
-from seglab.net import SegNet, load_checkpoint, save_checkpoint
-from seglab.synthdata import generate
+from seglab.grid import ClassSet, one_hot_from_indices
+from seglab.losses import LOSS_IDS, LossConfig, combined_loss
+from seglab.net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
+from seglab.synthdata import DatasetSpec, Sample, generate
 
 TINY_DATASET = {
     "kind": "acdc_like",
@@ -51,6 +53,18 @@ def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def count_maps_built(monkeypatch, classes=(grid.LabelMap, grid.ProbabilityMap, grid.GradientMap)) -> list[type]:
+    """Patch each map class's __init__ to record the type of every map built."""
+    built = []
+    for cls in classes:
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 def artifact_bytes(run_dir: Path) -> dict[str, bytes]:
@@ -150,6 +164,52 @@ class TestRunExperiment:
         cfg = config_from_dict(tiny_config())
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+def hot_path_sample(kind: str, dims: tuple[int, int], seed: int) -> Sample:
+    """A generated 64x64 sample, or random image and labels on grids too small to generate."""
+    spec = DatasetSpec(kind=kind, image_size=dims, train=1, val=1, test=1, seed=seed)
+    if dims == (64, 64):
+        return generate(spec)[0][0]
+    rng = np.random.default_rng(seed)
+    label = one_hot_from_indices(rng.integers(0, spec.classes.total, size=dims), spec.classes)
+    return Sample(image=rng.random(dims), label=label, id="random")
+
+
+class TestHotPath:
+    """The training engine calls raw kernels; the public map functions wrap the same ones."""
+
+    @pytest.mark.parametrize("terms", [((lid, 1.0),) for lid in LOSS_IDS] + [(("ce", 1.0), ("dice", 1.0))], ids=str)
+    @pytest.mark.parametrize("kind", ["acdc_like", "promise_like"])
+    @pytest.mark.parametrize("dims", [(64, 64), (5, 9), (1, 7)], ids=str)
+    def test_engine_step_equals_public_map_path(self, terms, kind, dims):
+        sample = hot_path_sample(kind, dims, seed=len(terms) + dims[1])
+        net = SegNet(sample.label.classes, seed=3)
+        lcfg = LossConfig()
+        value, grad = cli._sample_loss_grad(net, sample, terms, lcfg, 0)
+        logits, cache = forward(net, sample.image)
+        probs = softmax(logits)
+        ref_value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
+        assert type(value) is float and value == ref_value
+        assert np.array_equal(grad, backward(net, cache, softmax_backward(probs, grad_s)))
+
+    def test_training_run_builds_no_map_per_step(self, tmp_path, monkeypatch):
+        built = count_maps_built(monkeypatch, (grid.ProbabilityMap, grid.GradientMap))
+        run_experiment(config_from_dict(tiny_config(epochs=2, output_dir=str(tmp_path / "run"))))
+        # only the gradient-map export after training: one of each
+        assert sorted(cls.__name__ for cls in built) == ["GradientMap", "ProbabilityMap"]
+
+    def test_warm_step_allocates_under_2_5_mb(self):
+        sample = hot_path_sample("acdc_like", (64, 64), seed=0)
+        net = SegNet(sample.label.classes, seed=0)
+        cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)  # makes the scratch buffers
+        tracemalloc.start()
+        try:
+            cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestDeterminism:
@@ -273,13 +333,7 @@ class TestCliCommands:
         ).read_bytes()
 
     def test_audit_builds_no_map_per_probe(self, tmp_path, monkeypatch):
-        built = []
-        for cls in (grid.LabelMap, grid.ProbabilityMap, grid.GradientMap):
-            def counted(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self))
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counted)
+        built = count_maps_built(monkeypatch)
         _, passed = run_audit(config_from_dict(tiny_config()), tmp_path / "gradaudit.json")
         assert passed
         # 2 * |K| * P probes per instance would be hundreds of maps
@@ -432,6 +486,15 @@ class TestBadInput:
         args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
         assert main(["gradmap", *args]) == 2
         self.single_error_line(capsys)
+
+    @pytest.mark.parametrize("change", [{"dtype": ">f4"}, {"in_channels": 3}], ids=["dtype", "in_channels"])
+    def test_checkpoint_header_constant_exit_code(self, tmp_path, capsys, change):
+        ckpt = save_checkpoint(tmp_path / "net.ckpt", SegNet(ClassSet(3), seed=0), epoch=0)
+        header, block = ckpt.read_bytes().split(b"\n", 1)
+        ckpt.write_bytes(json.dumps(json.loads(header) | change).encode("utf-8") + b"\n" + block)
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        assert next(iter(change)) in self.single_error_line(capsys)
 
     @pytest.mark.parametrize(
         "change",

@@ -4,7 +4,7 @@ import pytest
 from seglab.errors import ValidationError
 from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, dice_loss
-from seglab.metrics import BinStat, argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
+from seglab.metrics import BinStat, _argmax, argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
 from seglab.net import softmax
 
 from .oracles import clece_oracle, clece_report_loop, dsc_oracle, one_hot, random_instance
@@ -231,6 +231,8 @@ class TestAgainstPerBinLoop:
             y = one_hot(rng.integers(0, 1 + trial % total, size=dims), ClassSet(total - 1))
             s = softmax(logits)
             assert np.array_equal(argmax_dsc(y, s), dsc(y, argmax_predict(s)))
+            for planes in (logits.reshape(total, -1), s.values):
+                assert np.array_equal(_argmax(planes), np.argmax(planes, axis=0))
 
     def test_evaluate_sample_builds_no_prediction_map(self, monkeypatch):
         rng = np.random.default_rng(15)

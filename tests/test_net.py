@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -225,6 +227,24 @@ class TestBackward:
                 net.set_params(theta0)
 
 
+class TestScratchBuffers:
+    def test_later_passes_leave_an_earlier_cache_and_logits_intact(self):
+        rng = np.random.default_rng(21)
+        first, second = rng.random((2, 9, 11))
+        net = make_net(count_objects=2, seed=4)
+        logits, cache = forward(net, first)
+        kept = logits.copy()
+        later_logits, later_cache = forward(net, second)
+        dz = rng.normal(size=logits.shape)
+        backward(net, later_cache, rng.normal(size=later_logits.shape))
+        grad = backward(net, cache, dz)
+        assert np.array_equal(logits, kept)
+        fresh = make_net(count_objects=2, seed=4)
+        fresh_logits, fresh_cache = forward(fresh, first)
+        assert np.array_equal(logits, fresh_logits)
+        assert np.array_equal(grad, backward(fresh, fresh_cache, dz))
+
+
 class TestAgainstIm2col:
     """The row-shifted convolution against the explicit im2col/col2im pass in oracles.py."""
 
@@ -306,6 +326,25 @@ class TestParamsAndCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(header + bytes(800))
         with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dtype": ">f4"},
+            {"dtype": "<f4"},
+            {"dtype": None},
+            {"in_channels": 3},
+            {"in_channels": True},
+            {"in_channels": 1.0},
+        ],
+        ids=["big_endian_f4", "f4", "no_dtype", "three_channels", "bool_channels", "float_channels"],
+    )
+    def test_header_constants_enforced(self, tmp_path, change):
+        path = save_checkpoint(tmp_path / "net.ckpt", make_net(), epoch=0)
+        header, block = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(json.dumps(json.loads(header) | change).encode("utf-8") + b"\n" + block)
+        with pytest.raises(ValidationError, match=next(iter(change))):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

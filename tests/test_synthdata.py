@@ -12,13 +12,14 @@ from seglab.synthdata import (
     PROMISE_INTENSITIES,
     DatasetSpec,
     Sample,
+    _make_sample,
     augment,
     export_dataset,
     flip_rotate,
     generate,
 )
 
-from .oracles import one_hot
+from .oracles import one_hot, synthetic_sample_mgrid
 
 SMALL = DatasetSpec(kind="acdc_like", train=4, val=2, test=2, seed=7)
 
@@ -106,6 +107,27 @@ class TestGenerate:
                 expected = one_hot(s.label.class_indices(), s.label.classes)
                 assert s.label.shape == expected.shape
                 assert np.array_equal(s.label.values, expected.values)
+
+
+class TestAgainstMgridOracle:
+    @pytest.mark.parametrize(
+        "kind, size, noise_sigma",
+        [
+            ("acdc_like", (64, 64), 0.03),
+            ("acdc_like", (48, 80), 0.03),
+            ("acdc_like", (97, 50), 0.0),
+            ("promise_like", (64, 64), 0.03),
+            ("promise_like", (24, 37), 0.1),
+            ("promise_like", (70, 31), 0.0),
+        ],
+    )
+    def test_samples_equal_full_index_grid_build(self, kind, size, noise_sigma):
+        spec = DatasetSpec(kind=kind, image_size=size, noise_sigma=noise_sigma, seed=0)
+        for seed in range(150):
+            sample = _make_sample(spec, np.random.default_rng(seed), "s")
+            image, idx = synthetic_sample_mgrid(spec, np.random.default_rng(seed))
+            assert sample.image.tobytes() == image.tobytes()
+            assert np.array_equal(sample.label.class_indices(), idx)
 
 
 @pytest.fixture(scope="module")
