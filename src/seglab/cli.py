@@ -397,16 +397,14 @@ _M_MMAP_THRESHOLD = -3
 def _keep_freed_memory() -> None:
     """Stop glibc from handing each step's freed conv buffers back to the kernel.
 
-    At 64x64 a training step allocates and frees a few dozen arrays of
-    130-300 KB: the logits, the cached layer inputs and pre-activations, and
-    the softmax and loss arrays (the im2col matrix and backward's buffers are
-    the net's reusable scratch).  glibc's adaptive defaults raise the mmap
-    threshold only to the largest mapped block freed so far and trim the heap
-    top past twice that, so with nothing larger freed the heap top is trimmed
-    and faulted back in on every step: 261k-366k minor page faults over 2
-    acdc_like epochs of 500 samples without this call, against 27k with it.
-    Serving blocks up to 32 MB from the heap and trimming only past 128 MB of
-    free top space keeps it mapped.  A no-op without mallopt.
+    At 64x64 a training step allocates and frees forward's 2.4 MB im2col matrix
+    and a few dozen arrays of 130-300 KB.  With glibc's adaptive defaults,
+    whether a free trims the heap top depends on the heap layout, so a run may
+    fault that memory back in on every step (1.2M minor page faults and a
+    third of the wall time in the kernel over 2 acdc_like epochs, against 33k
+    with this call).  Serving blocks up to 32 MB from the heap and trimming
+    only past 128 MB of free top space keeps it mapped.  A no-op without
+    mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt

@@ -21,18 +21,14 @@ that tap's slice of the cached input, and each tap's input gradient is added
 back onto the flat grid with one contiguous slice add.  The cache keeps each
 layer's padded, flattened input (x.reshape(C, -1) for a 1x1 layer) and its
 pre-activation.  forward writes the centered image, and each ReLU output,
-straight into the interior of the next layer's padded input.
+straight into the interior of the next layer's padded input.  At 64x64 the
+padded 8-channel input is 279 KB; the 72-row im2col matrix (2.4 MB) lives
+only during forward's GEMM.
 
-Memory ownership: the logits and every array a ForwardCache holds are freshly
-allocated by each forward call, so a later forward never changes an earlier
-cache or its logits, and backward may run on any cache that is still current.
-Arrays that never leave a call live in scratch buffers that the SegNet keeps
-per name and shape and reuses across calls: forward's im2col matrix (2.4 MB
-at 8 -> 8 channels on 64x64), backward's zero-padded upstream gradient (only
-its interior is ever written, so its junk columns stay zero), its input
-gradient grid (refilled with zeros on each call) and its per-tap GEMM output.
-So forward and backward on one net are not thread-reentrant: calls that may
-overlap need a net each.
+Memory ownership: a SegNet holds only its parameters.  Every array forward
+and backward use is allocated by that call, so a later forward never changes
+an earlier cache or its logits, and backward may run on any cache that is
+still current.
 
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
@@ -123,15 +119,6 @@ class SegNet:
             offset = bs.stop
             self.param_slices.append((ks, bs))
         self.param_count = offset
-        self._scratch: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
-
-    def _buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The net's private scratch array of this name and shape, reused across
-        calls: zeros when first made, then whatever the last call left."""
-        key = (name, shape)
-        if key not in self._scratch:
-            self._scratch[key] = np.zeros(shape)
-        return self._scratch[key]
 
     def get_params(self) -> np.ndarray:
         """Flattened copy of all kernels and biases in layer order."""
@@ -174,7 +161,7 @@ def _padded_input(layer: ConvLayer, channels: int, height: int, width: int) -> t
     return grid, grid[:, pad : pad + height, pad : pad + width]
 
 
-def _conv_forward(net: SegNet, layer: ConvLayer, grid: np.ndarray) -> np.ndarray:
+def _conv_forward(layer: ConvLayer, grid: np.ndarray) -> np.ndarray:
     """Pre-activation of a layer over its zero-padded input grid; freshly allocated."""
     out_ch, in_ch, k, _ = layer.kernels.shape
     height, width = grid.shape[1] - k + 1, grid.shape[2] - k + 1
@@ -186,7 +173,7 @@ def _conv_forward(net: SegNet, layer: ConvLayer, grid: np.ndarray) -> np.ndarray
         # small images the extra junk columns change the last bits of the
         # logits.  H*W columns keep forward's GEMM, and so its logits,
         # layout-free.
-        cols = net._buffer("im2col", (in_ch, k, k, height, width))
+        cols = np.empty((in_ch, k, k, height, width))
         for u in range(k):
             for v in range(k):
                 cols[:, u, v] = grid[:, u : u + height, v : v + width]
@@ -209,7 +196,7 @@ def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     np.subtract(image, INPUT_CENTER, out=interior[0])
     caches = []
     for i, layer in enumerate(net.layers):
-        pre = _conv_forward(net, layer, grid)
+        pre = _conv_forward(layer, grid)
         caches.append(_LayerCache(cols=grid.reshape(grid.shape[0], -1), pre=pre))
         if i + 1 == len(net.layers):
             logits = np.maximum(pre, 0.0) if layer.relu else pre
@@ -286,30 +273,21 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
         pad = k // 2
         wp = width + 2 * pad
         span = (height - 1) * wp + width
-        # Only the interior is ever written, so the junk columns between rows
-        # keep the zeros they were created with and add nothing below.
-        d = net._buffer("d", (out_ch, height * wp))
+        d = np.zeros((out_ch, height * wp))
         interior = d.reshape(out_ch, height, wp)[:, :, :width]
         if layer.relu:
             np.multiply(upstream, lc.pre > 0.0, out=interior)
         else:
             interior[...] = upstream
-        d = d[:, :span]
+        d = d[:, :span]  # the zero junk columns between rows add nothing below
         kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
         dkernels = np.empty_like(kernels)
-        offsets = [u * wp + v for u in range(k) for v in range(k)]
-        for t, o in enumerate(offsets):
+        dx = np.zeros_like(lc.cols)
+        for t, o in enumerate(u * wp + v for u in range(k) for v in range(k)):
             dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
+            if li > 0:
+                dx[:, o : o + span] += kernels[:, :, t].T @ d
         grads[li] = (dkernels.reshape(layer.kernels.shape), d.sum(axis=1))
-        if li == 0:
-            break
-        # upstream may view the later layer's dx buffer; d has already taken it.
-        dx = net._buffer("dx", lc.cols.shape)
-        dx.fill(0.0)
-        tap = net._buffer("tap", (in_ch, span))
-        for t, o in enumerate(offsets):
-            np.matmul(kernels[:, :, t].T, d, out=tap)
-            dx[:, o : o + span] += tap
         upstream = dx.reshape(in_ch, height + 2 * pad, wp)[:, pad : pad + height, pad : pad + width]
     return np.concatenate([np.concatenate([dk.ravel(), db.ravel()]) for dk, db in grads])
 

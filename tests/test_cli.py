@@ -199,17 +199,20 @@ class TestHotPath:
         # only the gradient-map export after training: one of each
         assert sorted(cls.__name__ for cls in built) == ["GradientMap", "ProbabilityMap"]
 
-    def test_warm_step_allocates_under_2_5_mb(self):
+    def test_warm_step_allocates_under_3_5_mb(self):
+        # 3.27 MB, of which forward's im2col matrix is 2.4 MB; a step that
+        # wraps every intermediate in a map and adds the bias out of place
+        # takes 3.79 MB
         sample = hot_path_sample("acdc_like", (64, 64), seed=0)
         net = SegNet(sample.label.classes, seed=0)
-        cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)  # makes the scratch buffers
+        cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
         tracemalloc.start()
         try:
             cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5e6
+        assert peak < 3.5e6
 
 
 class TestDeterminism:

@@ -227,7 +227,7 @@ class TestBackward:
                 net.set_params(theta0)
 
 
-class TestScratchBuffers:
+class TestPassesShareNoState:
     def test_later_passes_leave_an_earlier_cache_and_logits_intact(self):
         rng = np.random.default_rng(21)
         first, second = rng.random((2, 9, 11))
@@ -243,6 +243,24 @@ class TestScratchBuffers:
         fresh_logits, fresh_cache = forward(fresh, first)
         assert np.array_equal(logits, fresh_logits)
         assert np.array_equal(grad, backward(fresh, fresh_cache, dz))
+
+    # Shapes whose padded rows hold the same number of entries: 4 x (10 + 2)
+    # and 6 x (6 + 2) for the 3x3 layers, and a 1x1 head with K = 8 classes
+    # on 6 x 8 against a 3x3 layer on 6 x 6.
+    @pytest.mark.parametrize("count_objects", [2, 7])
+    @pytest.mark.parametrize("shapes", [((4, 10), (6, 6)), ((6, 6), (4, 10)), ((6, 8), (6, 6))], ids=str)
+    def test_gradient_does_not_depend_on_earlier_shapes(self, shapes, count_objects):
+        rng = np.random.default_rng(23)
+        images = [rng.random(dims) for dims in shapes]
+        upstreams = [rng.normal(size=(count_objects + 1, *dims)) for dims in shapes]
+        net = make_net(count_objects, seed=5)
+        for image, dz in zip(images, upstreams):
+            logits, cache = forward(net, image)
+            grad = backward(net, cache, dz)
+            fresh = make_net(count_objects, seed=5)
+            fresh_logits, fresh_cache = forward(fresh, image)
+            assert np.array_equal(logits, fresh_logits)
+            assert np.array_equal(grad, backward(fresh, fresh_cache, dz))
 
 
 class TestAgainstIm2col:
