@@ -200,9 +200,7 @@ class TestHotPath:
         assert sorted(cls.__name__ for cls in built) == ["GradientMap", "ProbabilityMap"]
 
     def test_warm_step_allocates_under_3_5_mb(self):
-        # 3.27 MB, of which forward's im2col matrix is 2.4 MB; a step that
-        # wraps every intermediate in a map and adds the bias out of place
-        # takes 3.79 MB
+        # 3.27 MB, of which forward's im2col matrix is 2.4 MB
         sample = hot_path_sample("acdc_like", (64, 64), seed=0)
         net = SegNet(sample.label.classes, seed=0)
         cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
