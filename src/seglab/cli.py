@@ -58,7 +58,16 @@ from .gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from .grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
+from .grid import (
+    ClassSet,
+    GradientMap,
+    GridShape,
+    LabelMap,
+    ProbabilityMap,
+    _one_hot,
+    one_hot_from_indices,
+    overlap_stats,
+)
 from .imgio import write_atomic
 from .losses import LOSS_IDS, LossConfig, _combined, combined_loss, combined_value, dice_grad
 from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
@@ -340,7 +349,7 @@ def _sample_loss_grad(
     epoch: int,
 ) -> tuple[float, np.ndarray]:
     s, cache = _probabilities(net, sample, f"at epoch {epoch}")
-    value, grad_s = _combined(terms, sample.label.values, s, lcfg)
+    value, grad_s = _combined(terms, _one_hot(sample.indices, s.shape[0]), s, lcfg)
     GradientMap.check(grad_s)
     grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
     return float(value), backward(net, cache, grad_z)
@@ -350,7 +359,7 @@ def _validation_dsc(net: SegNet, samples: list[Sample], epoch: int) -> np.ndarra
     rows = []
     for sample in samples:
         s, _ = _probabilities(net, sample, f"at epoch {epoch}")
-        rows.append(_argmax_dsc(sample.label.values, s)[1:])
+        rows.append(_argmax_dsc(sample.indices, s)[1:])
     return np.array(rows)
 
 
@@ -358,8 +367,8 @@ def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> 
     dsc_rows, clece_rows = [], []
     for sample in samples:
         s, _ = _probabilities(net, sample, "in testing")
-        dsc_rows.append(_argmax_dsc(sample.label.values, s)[1:])
-        clece_rows.append(_clece_cells(sample.label.values, s, DEFAULT_BINS)[0][1:])
+        dsc_rows.append(_argmax_dsc(sample.indices, s)[1:])
+        clece_rows.append(_clece_cells(sample.indices, s, DEFAULT_BINS)[0][1:])
     dice = np.array(dsc_rows)
     calibration = np.array(clece_rows)
     return {
@@ -618,10 +627,11 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     net = SegNet(spec.classes, seed=streams.init_seed)
     logits, _ = forward(net, sample.image)
     probs = softmax(logits)
-    sample_grad = dice_grad(sample.label, probs, lcfg)
+    label = sample.label
+    sample_grad = dice_grad(label, probs, lcfg)
     distinct = audit_two_valued(sample_grad)
     violations += audit_bound(
-        sample_grad, overlap_stats(sample.label, probs), 1.0 / spec.classes.total, epsilon=lcfg.epsilon
+        sample_grad, overlap_stats(label, probs), 1.0 / spec.classes.total, epsilon=lcfg.epsilon
     )
     report = GradAuditReport(
         max_rel_error=max_err,
@@ -665,9 +675,10 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
     logits, _ = forward(net, sample.image)
     probs = softmax(logits)
     lcfg = cfg.loss_config()
+    label = sample.label
     written: list[Path] = []
     for loss_id in LOSS_IDS:
-        _, grad_s = combined_loss(((loss_id, 1.0),), sample.label, probs, lcfg)
+        _, grad_s = combined_loss(((loss_id, 1.0),), label, probs, lcfg)
         written.extend(export_gradient_map(grad_s, out / f"gradmap_{loss_id}"))
     return written
 

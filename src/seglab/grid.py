@@ -214,7 +214,10 @@ def one_hot_from_indices(idx: np.ndarray, classes: ClassSet) -> LabelMap:
             f"class indices must lie in [0, {classes.total - 1}], "
             f"got range [{idx.min()}, {idx.max()}]"
         )
-    flat = idx.reshape(-1)
-    values = np.zeros((classes.total, flat.size))
-    values[flat, np.arange(flat.size)] = 1.0
-    return LabelMap(GridShape(idx.shape), classes, values)
+    return LabelMap(GridShape(idx.shape), classes, _one_hot(idx, classes.total))
+
+
+def _one_hot(idx: np.ndarray, total: int) -> np.ndarray:
+    """Raw one-hot planes, shaped (total, idx.size), of an index map whose
+    values are known to lie in [0, total)."""
+    return (np.arange(total)[:, None] == idx.reshape(-1)).astype(np.float64)

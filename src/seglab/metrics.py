@@ -10,8 +10,12 @@ same values as ``dsc(y, argmax_predict(s))``.  Both take the argmax from one
 strict ``>`` chain over the class planes, so ties go to the lowest class.
 
 The public functions check once that labels and probabilities share a grid,
-then run private kernels on the raw ``(classes.total, pixel_count)`` arrays;
-the training engine calls those kernels directly.
+then run private kernels on the label's class indices
+(``LabelMap.class_indices()``) and the raw ``(classes.total, pixel_count)``
+probabilities; the training engine calls those kernels directly with each
+sample's index map, so evaluation builds no one-hot label planes.  Every
+count a kernel takes from the indices is an exact integer, so its values
+equal those of a count over one-hot planes bit for bit.
 
 ClECE bins every pixel of a class plane into equal-width confidence bins
 [j/bins, (j+1)/bins), the first and last bins also taking the values that
@@ -19,8 +23,8 @@ stray below 0 and above 1, and normalizes by the full pixel count.  All
 class planes are binned in one pass over keys ``k * bins + b``.  A stable
 sort of the keys lays each bin's pixels out contiguously and in pixel order.
 Pixel counts per bin come from the bin edges in the sorted keys, and label
-counts from a ``bincount`` of the keys of labeled pixels; both are exact,
-since labels are 0/1.  Confidence sums take one ``np.add.reduce`` per
+counts from a ``bincount`` of each pixel's key in its labeled class; both
+are exact.  Confidence sums take one ``np.add.reduce`` per
 non-empty bin: the same pairwise sum over the same values that the mean of a
 boolean-masked plane takes.  Each class total adds its bins left to right.
 So every value and every ``BinStat`` is bit-identical to a per-bin loop
@@ -78,13 +82,14 @@ def _argmax(sv: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _argmax_dsc(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
-    """argmax_dsc on raw (classes.total, pixel_count) arrays."""
-    total, n = sv.shape
-    idx = _argmax(sv)
-    hit = yv.reshape(-1)[idx * n + np.arange(n)]  # label of the predicted class
-    inter = np.bincount(idx, weights=hit, minlength=total)
-    sizes = yv.sum(axis=1) + np.bincount(idx, minlength=total)
+def _argmax_dsc(labels: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """argmax_dsc from a class-index map of pixel_count entries and raw
+    (classes.total, pixel_count) probabilities."""
+    total = sv.shape[0]
+    labels = labels.reshape(-1)
+    pred = _argmax(sv)
+    inter = np.bincount(pred[pred == labels], minlength=total)
+    sizes = np.bincount(labels, minlength=total) + np.bincount(pred, minlength=total)
     return _dice(inter, sizes, DSC_EPS)
 
 
@@ -92,7 +97,7 @@ def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
     """Per-class hard Dice of the argmax prediction of `s`; equals
     ``dsc(y, argmax_predict(s))`` without building the one-hot map."""
     require_same_grid(y, s)
-    return _argmax_dsc(y.values, s.values)
+    return _argmax_dsc(y.class_indices(), s.values)
 
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:
@@ -115,10 +120,10 @@ def _bin_count(bins: object) -> int:
     return int(bins)
 
 
-def _clece_cells(yv: np.ndarray, sv: np.ndarray, bins: int) -> tuple[np.ndarray, ...]:
+def _clece_cells(labels: np.ndarray, sv: np.ndarray, bins: int) -> tuple[np.ndarray, ...]:
     """Per-class ClECE, then each cell's pixel count, mean confidence and mean
-    label, shaped (classes.total, bins), from raw (classes.total, pixel_count)
-    arrays."""
+    label, shaped (classes.total, bins), from a class-index map of pixel_count
+    entries and raw (classes.total, pixel_count) probabilities."""
     bins = _bin_count(bins)
     total, n = sv.shape
     cells = total * bins
@@ -132,7 +137,7 @@ def _clece_cells(yv: np.ndarray, sv: np.ndarray, bins: int) -> tuple[np.ndarray,
     grouped = sv.reshape(-1)[order]
     stops = np.searchsorted(key[order], np.arange(1, cells + 1))
     counts = np.diff(stops, prepend=0)
-    label_sums = np.bincount(key[yv.reshape(-1) == 1.0], minlength=cells)
+    label_sums = np.bincount(key.reshape(total, n)[labels.reshape(-1), np.arange(n)], minlength=cells)
     conf_sums = np.zeros(cells)
     filled = np.flatnonzero(counts)
     conf_sums[filled] = [
@@ -150,7 +155,7 @@ def clece_report(
 ) -> tuple[np.ndarray, list[list[BinStat]]]:
     """Per-class ClECE values plus the underlying bin diagnostics."""
     require_same_grid(y, s)
-    values, counts, confidence, accuracy = _clece_cells(y.values, s.values, bins)
+    values, counts, confidence, accuracy = _clece_cells(y.class_indices(), s.values, bins)
     per_class = zip(counts.tolist(), confidence.tolist(), accuracy.tolist())
     return values, [list(map(BinStat, *cells)) for cells in per_class]
 
@@ -158,7 +163,7 @@ def clece_report(
 def clece(y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Per-class classwise expected calibration error."""
     require_same_grid(y, s)
-    return _clece_cells(y.values, s.values, bins)[0]
+    return _clece_cells(y.class_indices(), s.values, bins)[0]
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,9 @@ def evaluate_sample(
 ) -> ClassMetricReport:
     """Hard-prediction DSC plus calibration for one (label, probability) pair."""
     require_same_grid(y, s)
-    dice_values = _argmax_dsc(y.values, s.values)
-    cal_values = _clece_cells(y.values, s.values, bins)[0]
+    labels = y.class_indices()
+    dice_values = _argmax_dsc(labels, s.values)
+    cal_values = _clece_cells(labels, s.values, bins)[0]
     return ClassMetricReport(
         dsc=dice_values,
         clece=cal_values,

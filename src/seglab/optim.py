@@ -48,6 +48,12 @@ class OptimizerConfig:
             raise ValidationError(f"unknown optimizer kind {self.kind!r}")
         if not self.eta > 0:
             raise ValidationError(f"learning rate must be positive, got {self.eta}")
+        if not self.lam > 0:
+            raise ValidationError(f"optimizer key 'lam' must be positive, got {self.lam}")
+        if not self.weight_decay >= 0:
+            raise ValidationError(f"optimizer key 'weight_decay' must be >= 0, got {self.weight_decay}")
+        if not self.adam_eps > 0:
+            raise ValidationError(f"optimizer key 'adam_eps' must be positive, got {self.adam_eps}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):

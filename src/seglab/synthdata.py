@@ -17,19 +17,29 @@ the disk covers 1.8 - 4.5 % of the pixels, the annulus 2 - 8 %, and the
 crescent 1 - 5.5 %.  Generation is fully determined by the spec seed; the
 three splits draw from independent child seeds.
 
+A ``Sample`` holds its image (float64), its ground truth as a class-index
+map in the smallest unsigned dtype that fits (uint8 here) and its
+``ClassSet``; both arrays are read-only.  A 64x64 sample holds 36 KB of
+arrays; one-hot float64 planes would take 32 KB more per class plane.
+Generation and ``augment`` build and flip only the index map and check its
+range once.  ``sample.label`` builds the one-hot ``LabelMap`` on each access,
+with the checks every ``LabelMap`` runs; the training engine builds raw
+one-hot planes only where a loss needs them.
+
 Export writes one 16-bit PGM per image, one per label-index map, and a JSON
 manifest of ids per split.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ClassSet, GridShape, LabelMap, one_hot_from_indices
+from .grid import ClassSet, LabelMap, one_hot_from_indices
 from .imgio import write_atomic, write_pgm16
 
 __all__ = [
@@ -71,26 +81,55 @@ class DatasetSpec:
         object.__setattr__(self, "image_size", size)
         if min(self.train, self.val, self.test) < 1:
             raise ValidationError("each split needs at least one sample")
-        if self.noise_sigma < 0:
-            raise ValidationError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     @property
     def classes(self) -> ClassSet:
         return ClassSet(3 if self.kind == "acdc_like" else 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Sample:
+    """An image with its ground truth held as a class-index map.
+
+    ``Sample(image=, label=, id=)`` copies the image and takes the indices
+    of a ``LabelMap``.  ``label`` builds the one-hot ``LabelMap`` anew on
+    each access.
+    """
+
     image: np.ndarray  # (H, W) float64 in [0, 1], read-only
-    label: LabelMap
+    indices: np.ndarray  # (H, W) class per pixel, smallest unsigned dtype, read-only
+    classes: ClassSet
     id: str
 
-    def __post_init__(self) -> None:
-        img = np.array(self.image, dtype=np.float64)
-        if img.shape != self.label.shape.dims:
-            raise ValidationError(f"image shape {img.shape} != label grid {self.label.shape.dims}")
-        img.setflags(write=False)
-        object.__setattr__(self, "image", img)
+    def __init__(self, image: np.ndarray, label: LabelMap, id: str) -> None:
+        self._hold(np.array(image, dtype=np.float64), label.class_indices(), label.classes, id)
+
+    @classmethod
+    def _of_indices(cls, image: np.ndarray, indices: np.ndarray, classes: ClassSet, id: str) -> Sample:
+        """A sample that takes over the caller's arrays, without copying them."""
+        sample = cls.__new__(cls)
+        sample._hold(image, indices, classes, id)
+        return sample
+
+    def _hold(self, image: np.ndarray, indices: np.ndarray, classes: ClassSet, id: str) -> None:
+        if image.shape != indices.shape:
+            raise ValidationError(f"image shape {image.shape} != label grid {indices.shape}")
+        if indices.max() >= classes.total:
+            raise ValidationError(f"class indices must lie below {classes.total}, got {indices.max()}")
+        indices = indices.astype(np.min_scalar_type(classes.total - 1), copy=False)
+        image.setflags(write=False)
+        indices.setflags(write=False)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "id", id)
+
+    @property
+    def label(self) -> LabelMap:
+        """The one-hot ground truth, built on each access."""
+        return one_hot_from_indices(self.indices, self.classes)
 
 
 def _disk(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float, r: float) -> np.ndarray:
@@ -144,7 +183,7 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
     else:
         raise ValidationError(f"could not draw non-empty geometry for {sample_id}")
 
-    idx = np.zeros((height, width), dtype=np.int64)
+    idx = np.zeros((height, width), dtype=np.uint8)
     for k, mask in enumerate(masks, start=1):
         np.copyto(idx, k, where=mask)  # a later mask wins where masks overlap
     image = np.array([intensities[k] for k in range(len(masks) + 1)])[idx]
@@ -152,7 +191,7 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
         image += rng.normal(0.0, spec.noise_sigma, size=image.shape)
         np.clip(image, 0.0, 1.0, out=image)
 
-    return Sample(image=image, label=one_hot_from_indices(idx, spec.classes), id=sample_id)
+    return Sample._of_indices(image, idx, spec.classes, sample_id)
 
 
 def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:
@@ -197,10 +236,12 @@ def augment(sample: Sample, seed: int) -> Sample:
     hflip = bool(rng.random() < 0.5)
     vflip = bool(rng.random() < 0.5)
     quarter_turns = int(rng.integers(0, 4))
-    image = flip_rotate(sample.image, hflip, vflip, quarter_turns)
-    planes = flip_rotate(sample.label.planes(), hflip, vflip, quarter_turns)
-    label = LabelMap(GridShape(image.shape), sample.label.classes, planes)
-    return Sample(image=image, label=label, id=sample.id)
+    return Sample._of_indices(
+        flip_rotate(sample.image, hflip, vflip, quarter_turns),
+        flip_rotate(sample.indices, hflip, vflip, quarter_turns),
+        sample.classes,
+        sample.id,
+    )
 
 
 def export_dataset(
@@ -226,7 +267,7 @@ def export_dataset(
         ids = []
         for sample in samples:
             write_pgm16(out / "images" / f"{sample.id}.pgm", np.round(sample.image * 65535.0))
-            write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.label.class_indices())
+            write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.indices)
             ids.append(sample.id)
         manifest["splits"][split] = ids
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"

@@ -226,17 +226,21 @@ class TestDeterminism:
         for name in a:
             assert a[name] == b[name], f"artifact {name} differs between runs"
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        base = tiny_config(epochs=2, batch_size=4)
-        cfg_a = config_from_dict(base | {"output_dir": str(tmp_path / "a")})
-        run_experiment(cfg_a)
-        monkeypatch.setenv("SEGLAB_THREADS", "2")
-        cfg_b = config_from_dict(base | {"output_dir": str(tmp_path / "b")})
-        run_experiment(cfg_b)
+    def test_augmented_sgd_batch_run_is_byte_identical(self, tmp_path):
+        base = tiny_config(
+            epochs=2,
+            batch_size=4,
+            augment=True,
+            dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 28]},
+            optimizer={"kind": "sgd"},
+        ) | {"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 1.0]]}}
+        run_experiment(config_from_dict(base | {"output_dir": str(tmp_path / "a")}))
+        run_experiment(config_from_dict(base | {"output_dir": str(tmp_path / "b")}))
         a = artifact_bytes(tmp_path / "a")
         b = artifact_bytes(tmp_path / "b")
+        assert set(a) == set(b) and "gradmap_combined_k1.pfm" in a
         for name in a:
-            assert a[name] == b[name], f"artifact {name} differs with SEGLAB_THREADS=2"
+            assert a[name] == b[name], f"artifact {name} differs between augmented runs"
 
     def test_generate_twice_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -393,6 +397,9 @@ class TestBadInput:
             ({"loss": {"kind": "combined", "terms": [["dice", float("nan")]]}}, "terms"),
             ({"optimizer": {"kind": "adam", "lam": float("inf")}}, "lam"),
             ({"optimizer": {"kind": "adam", "eta": "nan"}}, "eta"),
+            ({"optimizer": {"kind": "sgd", "lam": -1.0, "weight_decay": -5.0}}, "lam"),
+            ({"optimizer": {"kind": "sgd", "weight_decay": -5.0}}, "weight_decay"),
+            ({"optimizer": {"kind": "adam", "adam_eps": 0.0}}, "adam_eps"),
         ],
         ids=[
             "epochs_not_int",
@@ -411,6 +418,9 @@ class TestBadInput:
             "term_weight_nan",
             "lam_infinity",
             "eta_nan_string",
+            "sgd_gradient_ascent",
+            "weight_decay_negative",
+            "adam_eps_zero",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):

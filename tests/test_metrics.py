@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seglab.errors import ValidationError
 from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, dice_loss
-from seglab.metrics import BinStat, _argmax, argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
+from seglab.metrics import (
+    BinStat,
+    _argmax,
+    _argmax_dsc,
+    _clece_cells,
+    argmax_dsc,
+    argmax_predict,
+    clece,
+    clece_report,
+    dsc,
+    evaluate_sample,
+)
 from seglab.net import softmax
 
 from .oracles import clece_oracle, clece_report_loop, dsc_oracle, one_hot, random_instance
@@ -249,6 +262,44 @@ class TestAgainstPerBinLoop:
         report = evaluate_sample(y, s)
         monkeypatch.undo()
         assert np.array_equal(report.clece, clece_report(y, s)[0])
+
+
+@st.composite
+def index_instance(draw):
+    """Labels and softmax probabilities on a grid from 1x1 to 70x70, with a
+    single row or column one draw in three.  Labels use only the first
+    ``present`` classes; with ``absent`` set, those later classes get logits
+    of -10, so they are empty in both maps.  Integer logits tie often."""
+    total = draw(st.integers(2, 5))
+    h, w = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    dims = draw(st.sampled_from([(h, w), (1, w), (h, 1)]))
+    present = draw(st.integers(1, total))
+    absent = draw(st.booleans())
+    levels = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.integers(0, levels, size=(total, *dims)).astype(float)
+    if absent:
+        logits[present:] = -10.0
+    y = one_hot(rng.integers(0, present, size=dims), ClassSet(total - 1))
+    return y, softmax(logits), draw(st.integers(1, 24))
+
+
+class TestIndexKernels:
+    """The kernels count from class indices; one-hot references must agree bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(index_instance())
+    def test_kernels_equal_one_hot_references(self, instance):
+        y, s, bins = instance
+        ref_dsc = dsc(y, argmax_predict(s))
+        ref_values, ref_diagnostics = clece_report_loop(y, s, bins)
+        for labels in (y.class_indices(), y.class_indices().astype(np.uint8)):
+            assert _argmax_dsc(labels, s.values).tobytes() == ref_dsc.tobytes()
+            values, counts, confidence, accuracy = _clece_cells(labels, s.values, bins)
+            assert values.tobytes() == ref_values.tobytes()
+            assert counts.tolist() == [[b.count for b in row] for row in ref_diagnostics]
+            assert confidence.tolist() == [[b.confidence for b in row] for row in ref_diagnostics]
+            assert accuracy.tolist() == [[b.accuracy for b in row] for row in ref_diagnostics]
 
 
 class TestBinsArgument:

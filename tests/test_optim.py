@@ -31,6 +31,18 @@ class TestConfig:
         with pytest.raises(ValidationError):
             OptimizerConfig(beta1=1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("lam", 0.0), ("lam", -1.0), ("weight_decay", -5.0), ("weight_decay", -1e-12), ("adam_eps", 0.0), ("adam_eps", -1e-8)],
+    )
+    def test_sign_of_scale_decay_and_eps_validated(self, field, value):
+        for kind in ("sgd", "adam"):
+            with pytest.raises(ValidationError, match=field):
+                OptimizerConfig(kind=kind, **{field: value})
+
+    def test_zero_weight_decay_accepted(self):
+        assert OptimizerConfig(kind="sgd", weight_decay=0.0).weight_decay == 0.0
+
 
 class TestSgd:
     def test_plain_update_to_machine_precision(self):

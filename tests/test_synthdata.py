@@ -45,6 +45,11 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             DatasetSpec(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ValidationError, match="noise_sigma"):
+            DatasetSpec(noise_sigma=sigma)
+
     def test_classes_per_kind(self):
         assert DatasetSpec(kind="acdc_like").classes.count_objects == 3
         assert DatasetSpec(kind="promise_like").classes.count_objects == 1
@@ -247,3 +252,20 @@ class TestSampleType:
         train, _, _ = generate(SMALL)
         with pytest.raises(ValueError):
             train[0].image[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            train[0].indices[0, 0] = 1
+
+    def test_generated_sample_holds_at_most_40_kb(self):
+        train, _, _ = generate(DatasetSpec(kind="acdc_like", image_size=(64, 64), train=1, val=1, test=1, seed=2))
+        sample = train[0]
+        assert sample.indices.dtype == np.uint8
+        assert sample.image.nbytes + sample.indices.nbytes <= 40 * 1024
+        assert not sample.indices.flags.writeable
+
+    def test_label_round_trips_through_the_constructor(self):
+        train, _, _ = generate(SMALL)
+        label = train[0].label
+        sample = Sample(image=train[0].image, label=label, id="copy")
+        assert sample.indices.dtype == np.uint8 and sample.classes == label.classes
+        assert np.array_equal(sample.indices, train[0].indices)
+        assert np.array_equal(sample.label.values, label.values)
