@@ -5,8 +5,10 @@ cross-entropy baseline, the linear "mime" losses whose gradients are fixed
 weighted negatives of the labels, a finite-difference oracle plus structural
 audits for every gradient, a small convolutional segmenter with hand-written
 backpropagation, SGD/Adam with a plateau scheduler, deterministic synthetic
-datasets, and the evaluation metrics (hard DSC, ClECE) used by the experiment
-runner in :mod:`seglab.cli`.
+datasets, and the evaluation metrics (hard DSC, ClECE).  Experiments are
+configured by :mod:`seglab.config`, trained and scored by the engine in
+:mod:`seglab.train`, and run from the ``segLab`` command line in
+:mod:`seglab.cli`.
 """
 
 from .errors import (

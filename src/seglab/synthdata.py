@@ -83,6 +83,8 @@ class DatasetSpec:
             raise ValidationError("each split needs at least one sample")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed is not None and self.seed < 0:
+            raise ValidationError(f"dataset key 'seed' must be >= 0, got {self.seed}")
 
     @property
     def classes(self) -> ClassSet:

@@ -1,0 +1,318 @@
+"""The training engine: one run of one configuration, and comparisons of runs.
+
+One run seed drives four independent streams (dataset, weight init, batch
+shuffling, augmentation), so a fixed config reproduces every artifact byte for
+byte.  A null dataset seed is derived from the run seed.  Artifacts never
+embed absolute paths.  On glibc, ``run_experiment`` keeps freed blocks of up
+to 32 MB in the process heap (see ``_keep_freed_memory``).
+
+Each training step, validation epoch and test pass runs a checked forward and
+softmax on raw arrays and builds no map; validation and testing share one
+scoring loop.
+
+Artifacts per training run: ``val_dsc.csv`` (header
+``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
+(best-validation parameters), and ``gradmap_<loss>_k<k>.pfm`` gradient maps of
+the first validation sample at the best parameters.
+"""
+from __future__ import annotations
+
+import ctypes
+import json
+from dataclasses import dataclass, replace
+from pathlib import Path
+
+import numpy as np
+
+from .config import ExperimentConfig, config_to_dict
+from .errors import ConfigError, TrainingAbortError
+from .gradcheck import export_gradient_map
+from .grid import GradientMap, ProbabilityMap, _one_hot
+from .imgio import write_atomic
+from .losses import LossConfig, _combined, combined_loss
+from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
+from .net import ForwardCache, SegNet, _softmax, _softmax_backward, backward, forward, save_checkpoint, softmax
+from .optim import AdamState, MomentumState, SchedulerState, adam_step, scheduler_step, sgd_step
+from .synthdata import DatasetSpec, Sample, augment, generate
+
+__all__ = ["EpochRecord", "RunResult", "run_experiment", "run_comparison"]
+
+SCHEDULER_PATIENCE = 20
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    epoch: int
+    train_loss: float
+    val_dsc: tuple[float, ...]  # object classes 1..K
+    val_dsc_mean: float
+    lr: float
+
+
+RunLog = list[EpochRecord]
+
+
+@dataclass
+class RunResult:
+    config: ExperimentConfig
+    log: RunLog
+    best_epoch: int | None
+    best_val_dsc: float | None
+    test_metrics: dict
+    output_dir: Path
+
+
+def _streams(cfg: ExperimentConfig) -> tuple[DatasetSpec, int, np.random.Generator, np.random.Generator]:
+    """The dataset spec with its seed resolved, the init seed, and the shuffle and augment generators."""
+    children = np.random.SeedSequence(cfg.seed).spawn(4)
+    spec = cfg.dataset
+    if spec.seed is None:
+        spec = replace(spec, seed=int(children[0].generate_state(1)[0]))
+    init_seed = int(children[1].generate_state(1)[0])
+    return spec, init_seed, np.random.default_rng(children[2]), np.random.default_rng(children[3])
+
+
+def _probabilities(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray, ForwardCache]:
+    """Checked forward, then the softmax as a raw (classes.total, pixel_count) array."""
+    # A diverging net overflows here; the finiteness check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, cache = forward(net, sample.image)
+    if not np.isfinite(logits).all():
+        raise TrainingAbortError(f"non-finite logits {when} on sample {sample.id}")
+    s = _softmax(logits.reshape(logits.shape[0], -1))
+    ProbabilityMap.check(s)
+    return s, cache
+
+
+def _sample_loss_grad(
+    net: SegNet,
+    sample: Sample,
+    terms: tuple[tuple[str, float], ...],
+    lcfg: LossConfig,
+    epoch: int,
+) -> tuple[float, np.ndarray]:
+    s, cache = _probabilities(net, sample, f"at epoch {epoch}")
+    value, grad_s = _combined(terms, _one_hot(sample.indices, s.shape[0]), s, lcfg)
+    GradientMap.check(grad_s)
+    grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
+    return float(value), backward(net, cache, grad_z)
+
+
+def _score(net: SegNet, samples: list[Sample], when: str, calibration: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample object-class DSC rows and, with calibration, ClECE rows."""
+    dsc_rows, clece_rows = [], []
+    for sample in samples:
+        s, _ = _probabilities(net, sample, when)
+        dsc_rows.append(_argmax_dsc(sample.indices, s)[1:])
+        if calibration:
+            clece_rows.append(_clece_cells(sample.indices, s, DEFAULT_BINS)[0][1:])
+    return np.array(dsc_rows), np.array(clece_rows)
+
+
+def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> dict:
+    dice, calibration = _score(net, samples, "in testing", calibration=True)
+    return {
+        "loss": cfg.loss_kind,
+        "optimizer": cfg.optimizer.kind,
+        "n_test": len(samples),
+        "per_class_dsc_mean": [float(v) for v in dice.mean(axis=0)],
+        "per_class_dsc_std": [float(v) for v in dice.std(axis=0)],
+        "per_class_clece_mean": [float(v) for v in calibration.mean(axis=0)],
+        "mean_dsc": float(dice.mean()),
+        "mean_dsc_std": float(dice.mean(axis=1).std()),
+        "mean_clece": float(calibration.mean()),
+    }
+
+
+def _export_gradient_maps(net: SegNet, sample: Sample, losses: dict, lcfg: LossConfig, out: Path) -> list[Path]:
+    """One PFM per class plane of dL/ds for each named term set in losses, at the net's parameters."""
+    logits, _ = forward(net, sample.image)
+    probs = softmax(logits)
+    label = sample.label
+    written: list[Path] = []
+    for name, terms in losses.items():
+        _, grad_s = combined_loss(terms, label, probs, lcfg)
+        written.extend(export_gradient_map(grad_s, out / f"gradmap_{name}"))
+    return written
+
+
+def _write_csv(path: Path, rows: list[list[str]]) -> Path:
+    return write_atomic(path, "".join(",".join(row) + "\n" for row in rows).encode("utf-8"))
+
+
+def _write_curve_csv(path: Path, log: RunLog, count_objects: int) -> None:
+    header = ["epoch", *(f"dsc_k{k}" for k in range(1, count_objects + 1)), "dsc_mean", "lr"]
+    rows = [[str(rec.epoch), *map(repr, rec.val_dsc), repr(rec.val_dsc_mean), repr(rec.lr)] for rec in log]
+    _write_csv(path, [header, *rows])
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+
+
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing each step's freed conv buffers back to the kernel.
+
+    At 64x64 a training step allocates and frees forward's 2.4 MB im2col matrix
+    and a few dozen arrays of 130-300 KB.  With glibc's adaptive defaults,
+    whether a free trims the heap top depends on the heap layout, so a run may
+    fault that memory back in on every step (1.2M minor page faults and a
+    third of the wall time in the kernel over 2 acdc_like epochs, against 33k
+    with this call).  Serving blocks up to 32 MB from the heap and trimming
+    only past 128 MB of free top space keeps it mapped.  A no-op without
+    mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Train, validate, test, and write the run artifacts."""
+    if cfg.output_dir is None:
+        raise ConfigError("run_experiment needs an output_dir")
+    _keep_freed_memory()
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    spec, init_seed, shuffle_rng, augment_rng = _streams(cfg)
+    train_set, val_set, test_set = generate(spec)
+
+    net = SegNet(spec.classes, seed=init_seed)
+    lcfg = cfg.loss_config()
+    momentum_state = MomentumState.fresh(net.param_count)
+    adam_state = AdamState.fresh(net.param_count)
+    scheduler = SchedulerState(patience=SCHEDULER_PATIENCE, current_eta=cfg.optimizer.eta)
+    adam_t = 0
+
+    best_mean = float("-inf")
+    best_params = net.get_params()
+    best_epoch: int | None = None
+    log: RunLog = []
+
+    for epoch in range(cfg.epochs):
+        lr = scheduler.current_eta
+        order = shuffle_rng.permutation(len(train_set))
+        batch_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
+            if cfg.augment:
+                batch = [augment(s, int(augment_rng.integers(0, 2**63))) for s in batch]
+            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
+            batch_loss = float(np.mean([value for value, _ in results]))
+            if not np.isfinite(batch_loss):
+                raise TrainingAbortError(
+                    f"non-finite training loss {batch_loss} at epoch {epoch}"
+                )
+            grad = np.mean([g for _, g in results], axis=0)
+            step_cfg = replace(cfg.optimizer, eta=lr)
+            theta = net.get_params()
+            # An overflowing step leaves non-finite parameters; the next
+            # training or validation forward reports them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if cfg.optimizer.kind == "sgd":
+                    theta = sgd_step(theta, grad, step_cfg, momentum_state)
+                else:
+                    adam_t += 1
+                    theta = adam_step(theta, grad, step_cfg, adam_state, adam_t)
+            net.set_params(theta)
+            batch_losses.append(batch_loss)
+
+        per_class = _score(net, val_set, f"at epoch {epoch}")[0].mean(axis=0)
+        mean_dsc = float(per_class.mean())
+        log.append(
+            EpochRecord(
+                epoch=epoch,
+                train_loss=float(np.mean(batch_losses)),
+                val_dsc=tuple(float(v) for v in per_class),
+                val_dsc_mean=mean_dsc,
+                lr=lr,
+            )
+        )
+        if mean_dsc > best_mean:
+            best_mean = mean_dsc
+            best_params = net.get_params()
+            best_epoch = epoch
+        scheduler = scheduler_step(scheduler, mean_dsc)
+
+    net.set_params(best_params)
+    test_report = _test_metrics(net, test_set, cfg)
+
+    _write_curve_csv(out / "val_dsc.csv", log, spec.classes.count_objects)
+    _write_json(out / "test_metrics.json", test_report)
+    best_val = None if best_epoch is None else best_mean
+    save_checkpoint(
+        out / "best.ckpt",
+        net,
+        epoch=-1 if best_epoch is None else best_epoch,
+        best_val_dsc=best_val,
+        config=config_to_dict(cfg, include_output=False),
+    )
+    _export_gradient_maps(net, val_set[0], {cfg.loss_kind: cfg.loss_terms}, lcfg, out)
+
+    return RunResult(
+        config=cfg,
+        log=log,
+        best_epoch=best_epoch,
+        best_val_dsc=best_val,
+        test_metrics=test_report,
+        output_dir=out,
+    )
+
+
+def _require_comparable(cfgs: list[ExperimentConfig]) -> None:
+    first = cfgs[0]
+    for other in cfgs[1:]:
+        same = (
+            other.dataset == first.dataset
+            and other.epochs == first.epochs
+            and other.batch_size == first.batch_size
+            and other.seed == first.seed
+            and other.augment == first.augment
+        )
+        if not same:
+            raise ConfigError("compared configs may differ only in loss/optimizer")
+
+
+def _format_percent(mean: float, std: float) -> str:
+    return f"{100 * mean:.1f} ({100 * std:04.1f})"
+
+
+def run_comparison(cfgs: list[ExperimentConfig], out_dir: str | Path) -> tuple[Path, list[RunResult]]:
+    """Run each config and tabulate per-class and mean test DSC."""
+    if not cfgs:
+        raise ConfigError("compare needs at least one config")
+    _require_comparable(cfgs)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    results = []
+    for i, cfg in enumerate(cfgs):
+        if cfg.output_dir is None:
+            cfg = replace(cfg, output_dir=out / f"run{i}_{cfg.loss_kind}_{cfg.optimizer.kind}")
+        results.append(run_experiment(cfg))
+
+    count_objects = cfgs[0].dataset.classes.count_objects
+    header = ["loss", "optimizer", *(f"dsc_k{k}" for k in range(1, count_objects + 1)), "dsc_mean"]
+    rows = [
+        [tm["loss"], tm["optimizer"], *map(repr, tm["per_class_dsc_mean"]), repr(tm["mean_dsc"])]
+        for tm in (res.test_metrics for res in results)
+    ]
+    table = _write_csv(out / "comparison.csv", [header, *rows])
+
+    print(f"{'loss':<10}{'optimizer':<11}" + "".join(f"{'k' + str(k):>14}" for k in range(1, count_objects + 1)) + f"{'mean':>14}")
+    for res in results:
+        tm = res.test_metrics
+        row = f"{tm['loss']:<10}{tm['optimizer']:<11}"
+        for m, s in zip(tm["per_class_dsc_mean"], tm["per_class_dsc_std"]):
+            row += f"{_format_percent(m, s):>14}"
+        row += f"{_format_percent(tm['mean_dsc'], tm['mean_dsc_std']):>14}"
+        print(row)
+    return table, results

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seglab import cli, grid
+from seglab import grid, train
 from seglab.cli import (
     AUDIT_TERM_SETS,
     AUDIT_TRIALS,
@@ -23,6 +23,7 @@ from seglab.errors import ConfigError
 from seglab.grid import ClassSet, one_hot_from_indices
 from seglab.losses import LOSS_IDS, LossConfig, combined_loss
 from seglab.net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
+from seglab.optim import default_optimizer_config
 from seglab.synthdata import DatasetSpec, Sample, generate
 
 TINY_DATASET = {
@@ -80,6 +81,13 @@ class TestConfigParsing:
         assert cfg.epochs == 60
         assert cfg.batch_size == 1
         assert cfg.dataset.seed is None
+        # each default has one home: the dataclasses and default_optimizer_config
+        assert cfg == ExperimentConfig(dataset=DatasetSpec(seed=None), optimizer=default_optimizer_config("adam"))
+        assert cfg == config_from_dict({"dataset": {}, "loss": {}, "optimizer": {}})
+        assert config_from_dict({"dataset": {"seed": 0}}).dataset == DatasetSpec()
+        assert config_from_dict({"optimizer": "sgd"}).optimizer == default_optimizer_config("sgd")
+        mime = config_from_dict({"loss": "mime"}).loss_config()
+        assert (mime.mime_a, mime.mime_b) == (LossConfig().mime_a, LossConfig().mime_b)
 
     def test_round_trip(self):
         data = tiny_config(loss="mime", output_dir="runs/x")
@@ -186,7 +194,7 @@ class TestHotPath:
         sample = hot_path_sample(kind, dims, seed=len(terms) + dims[1])
         net = SegNet(sample.label.classes, seed=3)
         lcfg = LossConfig()
-        value, grad = cli._sample_loss_grad(net, sample, terms, lcfg, 0)
+        value, grad = train._sample_loss_grad(net, sample, terms, lcfg, 0)
         logits, cache = forward(net, sample.image)
         probs = softmax(logits)
         ref_value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
@@ -203,10 +211,10 @@ class TestHotPath:
         # 3.27 MB, of which forward's im2col matrix is 2.4 MB
         sample = hot_path_sample("acdc_like", (64, 64), seed=0)
         net = SegNet(sample.label.classes, seed=0)
-        cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
+        train._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
         tracemalloc.start()
         try:
-            cli._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
+            train._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -400,6 +408,8 @@ class TestBadInput:
             ({"optimizer": {"kind": "sgd", "lam": -1.0, "weight_decay": -5.0}}, "lam"),
             ({"optimizer": {"kind": "sgd", "weight_decay": -5.0}}, "weight_decay"),
             ({"optimizer": {"kind": "adam", "adam_eps": 0.0}}, "adam_eps"),
+            ({"seed": -1}, "seed"),
+            ({"dataset": TINY_DATASET | {"seed": -5}}, "seed"),
         ],
         ids=[
             "epochs_not_int",
@@ -421,6 +431,8 @@ class TestBadInput:
             "sgd_gradient_ascent",
             "weight_decay_negative",
             "adam_eps_zero",
+            "run_seed_negative",
+            "dataset_seed_negative",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -428,6 +440,36 @@ class TestBadInput:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert repr(key) in self.single_error_line(capsys)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, dataset_seed",
+        [("train", ["--seed", "-1"], None), ("audit", ["--seed", "-3"], None), ("generate", [], -5)],
+        ids=["train_run_seed", "audit_run_seed", "generate_dataset_seed"],
+    )
+    def test_negative_seed_names_the_key(self, tmp_path, capsys, command, flags, dataset_seed):
+        data = tiny_config(epochs=0)
+        data["dataset"]["seed"] = dataset_seed
+        cfg_path = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert "'seed'" in self.single_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gradmap", "--checkpoint", "{tmp}/missing.ckpt", "--sample", "acdc_like-val-0000", "--out", "{tmp}/maps"],
+            ["gradmap", "--checkpoint", "{tmp}", "--sample", "acdc_like-val-0000", "--out", "{tmp}/maps"],
+            ["train", "--config", "{cfg}", "--out", "{tmp}/file"],
+            ["audit", "--config", "{cfg}", "--out", "{tmp}/file"],
+            ["generate", "--config", "{cfg}", "--out", "{tmp}/file"],
+        ],
+        ids=["missing_checkpoint", "checkpoint_is_directory", "train_out_is_file", "audit_out_is_file", "generate_out_is_file"],
+    )
+    def test_bad_path_exit_code(self, tmp_path, capsys, argv):
+        cfg_path = write_config(tmp_path, tiny_config(epochs=0))
+        (tmp_path / "file").write_text("")
+        assert main([arg.format(tmp=tmp_path, cfg=cfg_path) for arg in argv]) == 2
+        self.single_error_line(capsys)
 
     def test_integral_floats_and_json_booleans_accepted(self):
         cfg = config_from_dict({"epochs": 2.0, "augment": True, "dataset": {"train": 4.0}})
@@ -441,9 +483,9 @@ class TestBadInput:
 
     def test_non_finite_logits_name_epoch_and_sample(self, tmp_path, capsys, monkeypatch):
         cfg = config_from_dict(tiny_config(epochs=1))
-        spec = cli._resolved_dataset(cfg, cli._derive_streams(cfg.seed))
+        spec = train._streams(cfg)[0]
         target = generate(spec)[0][3]
-        real_forward = cli.forward
+        real_forward = train.forward
 
         def overflowing(net, image):
             logits, cache = real_forward(net, image)
@@ -451,7 +493,7 @@ class TestBadInput:
                 logits[1] = np.inf
             return logits, cache
 
-        monkeypatch.setattr(cli, "forward", overflowing)
+        monkeypatch.setattr(train, "forward", overflowing)
         cfg_path = write_config(tmp_path, tiny_config(epochs=1, output_dir=str(tmp_path / "run")))
         assert main(["train", "--config", str(cfg_path)]) == 2
         line = self.single_error_line(capsys)
