@@ -28,7 +28,6 @@ from .grid import (
     GridShape,
     LabelMap,
     ProbabilityMap,
-    one_hot_from_indices,
     overlap_stats,
 )
 from .losses import (

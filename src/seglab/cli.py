@@ -33,7 +33,7 @@ from .gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, one_hot_from_indices, overlap_stats
+from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .synthdata import export_dataset, generate
@@ -73,7 +73,7 @@ def _random_audit_instance(rng: np.random.Generator) -> tuple[LabelMap, Probabil
     count_objects = int(rng.integers(1, 4))  # 2..4 planes including background
     pixels = int(rng.integers(4, 65))
     classes = ClassSet(count_objects)
-    labels = one_hot_from_indices(rng.integers(0, classes.total, size=pixels), classes)
+    labels = LabelMap(rng.integers(0, classes.total, size=pixels), classes)
     probs = ProbabilityMap(
         GridShape((pixels,)),
         classes,

@@ -1,18 +1,22 @@
 """Dense grid representations for labels, probabilities and gradients.
 
-Every map stores one flat row-major plane per class: an array of shape
-``(classes.total, shape.pixel_count)`` where pixel index ``i`` enumerates the
-flattened grid.  Class index 0 is always the background.  All storage is
-float64, and arrays are copied and frozen at construction, so instances are
-immutable and safe to share between threads.
+A ``LabelMap`` holds ground truth as a per-pixel class-index map, read-only,
+in the smallest unsigned dtype that fits; its range is checked once, at
+construction.  Its ``values``, the read-only one-hot float64 planes that the
+losses and ``overlap_stats`` read, are built on first access and kept.
 
-Constructors also accept values laid out spatially as
-``(classes.total, *shape.dims)``; they are flattened on the way in.
+Probability and gradient maps store one flat row-major float64 plane per
+class: an array of shape ``(classes.total, shape.pixel_count)`` where pixel
+index ``i`` enumerates the flattened grid, copied and frozen at construction.
+Their constructors also accept values laid out spatially as
+``(classes.total, *shape.dims)``; they are flattened on the way in.  Class
+index 0 is always the background.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +30,6 @@ __all__ = [
     "GradientMap",
     "ClassOverlapStats",
     "overlap_stats",
-    "one_hot_from_indices",
     "PROB_SLACK",
 ]
 
@@ -77,6 +80,43 @@ class GridShape:
 
 
 @dataclass(frozen=True, eq=False)
+class LabelMap:
+    """Ground truth as a per-pixel class-index map."""
+
+    indices: np.ndarray
+    classes: ClassSet
+
+    def __post_init__(self) -> None:
+        idx = np.asarray(self.indices)
+        top = self.classes.total - 1
+        if idx.dtype.kind not in "iu":
+            raise ValidationError(f"class indices must be integers, got dtype {idx.dtype}")
+        if idx.size == 0:
+            raise ValidationError("index map must contain at least one pixel")
+        if idx.min() < 0 or idx.max() > top:
+            raise ValidationError(f"class indices must lie in [0, {top}], got range [{idx.min()}, {idx.max()}]")
+        idx = idx.astype(np.min_scalar_type(top))
+        idx.setflags(write=False)
+        object.__setattr__(self, "indices", idx)
+
+    @cached_property
+    def shape(self) -> GridShape:
+        """The grid, the shape of the index map."""
+        return GridShape(self.indices.shape)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only one-hot planes, shaped (classes.total, pixel_count)."""
+        planes = _one_hot(self.indices, self.classes.total)
+        planes.setflags(write=False)
+        return planes
+
+    def foreground_sizes(self) -> np.ndarray:
+        """Per-class pixel counts |{i : y(i,k) = 1}|."""
+        return np.bincount(self.indices.reshape(-1), minlength=self.classes.total)
+
+
+@dataclass(frozen=True, eq=False)
 class _PlaneMap:
     """Shared storage and validation for per-class plane maps."""
 
@@ -111,25 +151,6 @@ class _PlaneMap:
     def plane(self, k: int) -> np.ndarray:
         """A single class plane reshaped to the grid dims."""
         return self.values[k].reshape(self.shape.dims)
-
-
-class LabelMap(_PlaneMap):
-    """One-hot ground truth: exactly one active class per pixel."""
-
-    @staticmethod
-    def check(arr: np.ndarray) -> None:
-        if not ((arr == 0.0) | (arr == 1.0)).all():
-            raise ValidationError("label values must be exactly 0 or 1")
-        if not (arr.sum(axis=0) == 1.0).all():
-            raise ValidationError("labels must be one-hot per pixel")
-
-    def class_indices(self) -> np.ndarray:
-        """Per-pixel class index map (inverse of one_hot_from_indices)."""
-        return np.argmax(self.values, axis=0).reshape(self.shape.dims)
-
-    def foreground_sizes(self) -> np.ndarray:
-        """Per-class pixel counts |{i : y(i,k) = 1}|."""
-        return self.values.sum(axis=1).astype(np.int64)
 
 
 class ProbabilityMap(_PlaneMap):
@@ -177,7 +198,7 @@ class ClassOverlapStats:
         object.__setattr__(self, "union_sum", union)
 
 
-def require_same_grid(a: _PlaneMap, b: _PlaneMap) -> None:
+def require_same_grid(a: LabelMap | _PlaneMap, b: LabelMap | _PlaneMap) -> None:
     """Raise ShapeMismatchError unless both maps share grid and class set."""
     if a.shape != b.shape or a.classes != b.classes:
         raise ShapeMismatchError(
@@ -198,26 +219,7 @@ def overlap_stats(y: LabelMap, s: ProbabilityMap) -> ClassOverlapStats:
     return ClassOverlapStats(*overlap_sums(y.values, s.values))
 
 
-def one_hot_from_indices(idx: np.ndarray, classes: ClassSet) -> LabelMap:
-    """Build a one-hot LabelMap from a per-pixel class index map.
-
-    The grid shape is taken from ``idx.shape``; argmax of the result recovers
-    ``idx`` exactly.
-    """
-    idx = np.asarray(idx)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ValidationError(f"class indices must be integers, got dtype {idx.dtype}")
-    if idx.size == 0:
-        raise ValidationError("index map must contain at least one pixel")
-    if idx.min() < 0 or idx.max() >= classes.total:
-        raise ValidationError(
-            f"class indices must lie in [0, {classes.total - 1}], "
-            f"got range [{idx.min()}, {idx.max()}]"
-        )
-    return LabelMap(GridShape(idx.shape), classes, _one_hot(idx, classes.total))
-
-
 def _one_hot(idx: np.ndarray, total: int) -> np.ndarray:
     """Raw one-hot planes, shaped (total, idx.size), of an index map whose
-    values are known to lie in [0, total)."""
+    values lie in [0, total)."""
     return (np.arange(total)[:, None] == idx.reshape(-1)).astype(np.float64)

@@ -2,20 +2,19 @@
 calibration error (ClECE).
 
 DSC uses a small epsilon guard in the denominator; a class that is empty in
-both maps scores 1.0 by convention.  ``dsc`` takes its overlap and sizes from
-``grid.overlap_sums``, the sums the dice loss uses.  ``argmax_dsc`` scores the
-argmax prediction of a probability map straight from its class indices:
-exact pixel counts by ``bincount``, with no one-hot prediction map, and the
-same values as ``dsc(y, argmax_predict(s))``.  Both take the argmax from one
-strict ``>`` chain over the class planes, so ties go to the lowest class.
+both maps scores 1.0 by convention.  Every function reads the label's class
+indices, ``LabelMap.indices``, and no one-hot label planes.  ``dsc`` counts
+overlaps and sizes of two index maps by integer ``bincount``; ``argmax_dsc``
+scores the argmax prediction of a probability map the same way, with no
+prediction map, and equals ``dsc(y, argmax_predict(s))``.  Both take the
+argmax from one strict ``>`` chain over the class planes, so ties go to the
+lowest class.  Every count is an exact integer, so the values equal those of
+a count over one-hot planes bit for bit.
 
-The public functions check once that labels and probabilities share a grid,
-then run private kernels on the label's class indices
-(``LabelMap.class_indices()``) and the raw ``(classes.total, pixel_count)``
-probabilities; the training engine calls those kernels directly with each
-sample's index map, so evaluation builds no one-hot label planes.  Every
-count a kernel takes from the indices is an exact integer, so its values
-equal those of a count over one-hot planes bit for bit.
+The public functions check once that their maps share a grid, then run
+private kernels on the class indices and the raw ``(classes.total,
+pixel_count)`` probabilities; the training engine calls those kernels
+directly with each sample's index map.
 
 ClECE bins every pixel of a class plane into equal-width confidence bins
 [j/bins, (j+1)/bins), the first and last bins also taking the values that
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import LabelMap, ProbabilityMap, one_hot_from_indices, overlap_sums, require_same_grid
+from .grid import LabelMap, ProbabilityMap, require_same_grid
 
 __all__ = [
     "DSC_EPS",
@@ -64,10 +63,17 @@ def _dice(inter: np.ndarray, sizes: np.ndarray, eps: float) -> np.ndarray:
     return np.where(sizes > 0, 2.0 * inter / (sizes + eps), 1.0)
 
 
+def _index_dsc(labels: np.ndarray, pred: np.ndarray, total: int, eps: float) -> np.ndarray:
+    """Per-class hard Dice of two flat class-index maps, by exact pixel counts."""
+    inter = np.bincount(pred[pred == labels], minlength=total)
+    sizes = np.bincount(labels, minlength=total) + np.bincount(pred, minlength=total)
+    return _dice(inter, sizes, eps)
+
+
 def dsc(y: LabelMap, pred: LabelMap, eps: float = DSC_EPS) -> np.ndarray:
     """Per-class hard Dice: 2|A n B| / (|A| + |B| + eps); both-empty -> 1.0."""
     require_same_grid(y, pred)
-    return _dice(*overlap_sums(y.values, pred.values), eps)  # U = |A| + |B|, exact for 0/1 values
+    return _index_dsc(y.indices.reshape(-1), pred.indices.reshape(-1), y.classes.total, eps)
 
 
 def _argmax(sv: np.ndarray) -> np.ndarray:
@@ -85,24 +91,19 @@ def _argmax(sv: np.ndarray) -> np.ndarray:
 def _argmax_dsc(labels: np.ndarray, sv: np.ndarray) -> np.ndarray:
     """argmax_dsc from a class-index map of pixel_count entries and raw
     (classes.total, pixel_count) probabilities."""
-    total = sv.shape[0]
-    labels = labels.reshape(-1)
-    pred = _argmax(sv)
-    inter = np.bincount(pred[pred == labels], minlength=total)
-    sizes = np.bincount(labels, minlength=total) + np.bincount(pred, minlength=total)
-    return _dice(inter, sizes, DSC_EPS)
+    return _index_dsc(labels.reshape(-1), _argmax(sv), sv.shape[0], DSC_EPS)
 
 
 def argmax_dsc(y: LabelMap, s: ProbabilityMap) -> np.ndarray:
     """Per-class hard Dice of the argmax prediction of `s`; equals
-    ``dsc(y, argmax_predict(s))`` without building the one-hot map."""
+    ``dsc(y, argmax_predict(s))`` without building the prediction map."""
     require_same_grid(y, s)
-    return _argmax_dsc(y.class_indices(), s.values)
+    return _argmax_dsc(y.indices, s.values)
 
 
 def argmax_predict(s: ProbabilityMap) -> LabelMap:
-    """One-hot of the per-pixel argmax; ties go to the lowest class index."""
-    return one_hot_from_indices(_argmax(s.values).reshape(s.shape.dims), s.classes)
+    """Class-index map of the per-pixel argmax; ties go to the lowest class."""
+    return LabelMap(_argmax(s.values).reshape(s.shape.dims), s.classes)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def clece_report(
 ) -> tuple[np.ndarray, list[list[BinStat]]]:
     """Per-class ClECE values plus the underlying bin diagnostics."""
     require_same_grid(y, s)
-    values, counts, confidence, accuracy = _clece_cells(y.class_indices(), s.values, bins)
+    values, counts, confidence, accuracy = _clece_cells(y.indices, s.values, bins)
     per_class = zip(counts.tolist(), confidence.tolist(), accuracy.tolist())
     return values, [list(map(BinStat, *cells)) for cells in per_class]
 
@@ -163,7 +164,7 @@ def clece_report(
 def clece(y: LabelMap, s: ProbabilityMap, bins: int = DEFAULT_BINS) -> np.ndarray:
     """Per-class classwise expected calibration error."""
     require_same_grid(y, s)
-    return _clece_cells(y.class_indices(), s.values, bins)[0]
+    return _clece_cells(y.indices, s.values, bins)[0]
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def evaluate_sample(
 ) -> ClassMetricReport:
     """Hard-prediction DSC plus calibration for one (label, probability) pair."""
     require_same_grid(y, s)
-    labels = y.class_indices()
+    labels = y.indices
     dice_values = _argmax_dsc(labels, s.values)
     cal_values = _clece_cells(labels, s.values, bins)[0]
     return ClassMetricReport(

@@ -322,7 +322,8 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
     A malformed header, a dtype other than "<f8", an in_channels other than 1,
     a param_count other than the one hidden_channels and classes_total imply,
     or a parameter block of any other length raises ValidationError before the
-    block is read or a net is built.
+    block is read or a net is built; a block holding a non-finite value raises
+    it before a net is built.
     """
     with open(path, "rb") as f:
         try:
@@ -350,7 +351,9 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
         size = implied * 8
         if os.fstat(f.fileno()).st_size - f.tell() != size:
             raise ValidationError(f"{path}: parameter block is not the {size} bytes param_count implies")
-        block = f.read(size)
+        params = np.frombuffer(f.read(size), dtype="<f8")
+    if not np.isfinite(params).all():
+        raise ValidationError(f"{path}: checkpoint parameters must be finite")
     net = SegNet(ClassSet(total - 1), seed=header["seed"], hidden=hidden)
-    net.set_params(np.frombuffer(block, dtype="<f8"))
+    net.set_params(params)
     return net, header

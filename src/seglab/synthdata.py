@@ -17,14 +17,13 @@ the disk covers 1.8 - 4.5 % of the pixels, the annulus 2 - 8 %, and the
 crescent 1 - 5.5 %.  Generation is fully determined by the spec seed; the
 three splits draw from independent child seeds.
 
-A ``Sample`` holds its image (float64), its ground truth as a class-index
-map in the smallest unsigned dtype that fits (uint8 here) and its
-``ClassSet``; both arrays are read-only.  A 64x64 sample holds 36 KB of
-arrays; one-hot float64 planes would take 32 KB more per class plane.
-Generation and ``augment`` build and flip only the index map and check its
-range once.  ``sample.label`` builds the one-hot ``LabelMap`` on each access,
-with the checks every ``LabelMap`` runs; the training engine builds raw
-one-hot planes only where a loss needs them.
+A ``Sample`` holds its image (float64) and its ground truth as a
+``LabelMap``: a class-index map in the smallest unsigned dtype that fits
+(uint8 here), range-checked once.  Both arrays are read-only.  A 64x64 sample
+holds 36 KB of arrays, and one-hot float64 planes would take 32 KB more per
+class plane; the label builds them only if its ``values`` are read, and the
+training engine builds raw planes from ``label.indices`` where a loss needs
+them.
 
 Export writes one 16-bit PGM per image, one per label-index map, and a JSON
 manifest of ids per split.
@@ -39,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .grid import ClassSet, LabelMap, one_hot_from_indices
+from .grid import ClassSet, LabelMap
 from .imgio import write_atomic, write_pgm16
 
 __all__ = [
@@ -91,47 +90,20 @@ class DatasetSpec:
         return ClassSet(3 if self.kind == "acdc_like" else 1)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """An image with its ground truth held as a class-index map.
-
-    ``Sample(image=, label=, id=)`` copies the image and takes the indices
-    of a ``LabelMap``.  ``label`` builds the one-hot ``LabelMap`` anew on
-    each access.
-    """
+    """An image with its ground truth; the image is copied and frozen."""
 
     image: np.ndarray  # (H, W) float64 in [0, 1], read-only
-    indices: np.ndarray  # (H, W) class per pixel, smallest unsigned dtype, read-only
-    classes: ClassSet
+    label: LabelMap
     id: str
 
-    def __init__(self, image: np.ndarray, label: LabelMap, id: str) -> None:
-        self._hold(np.array(image, dtype=np.float64), label.class_indices(), label.classes, id)
-
-    @classmethod
-    def _of_indices(cls, image: np.ndarray, indices: np.ndarray, classes: ClassSet, id: str) -> Sample:
-        """A sample that takes over the caller's arrays, without copying them."""
-        sample = cls.__new__(cls)
-        sample._hold(image, indices, classes, id)
-        return sample
-
-    def _hold(self, image: np.ndarray, indices: np.ndarray, classes: ClassSet, id: str) -> None:
-        if image.shape != indices.shape:
-            raise ValidationError(f"image shape {image.shape} != label grid {indices.shape}")
-        if indices.max() >= classes.total:
-            raise ValidationError(f"class indices must lie below {classes.total}, got {indices.max()}")
-        indices = indices.astype(np.min_scalar_type(classes.total - 1), copy=False)
+    def __post_init__(self) -> None:
+        image = np.array(self.image, dtype=np.float64)
+        if image.shape != self.label.indices.shape:
+            raise ValidationError(f"image shape {image.shape} != label grid {self.label.indices.shape}")
         image.setflags(write=False)
-        indices.setflags(write=False)
         object.__setattr__(self, "image", image)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "id", id)
-
-    @property
-    def label(self) -> LabelMap:
-        """The one-hot ground truth, built on each access."""
-        return one_hot_from_indices(self.indices, self.classes)
 
 
 def _disk(yy: np.ndarray, xx: np.ndarray, cy: float, cx: float, r: float) -> np.ndarray:
@@ -193,7 +165,7 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
         image += rng.normal(0.0, spec.noise_sigma, size=image.shape)
         np.clip(image, 0.0, 1.0, out=image)
 
-    return Sample._of_indices(image, idx, spec.classes, sample_id)
+    return Sample(image, LabelMap(idx, spec.classes), sample_id)
 
 
 def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:
@@ -238,10 +210,9 @@ def augment(sample: Sample, seed: int) -> Sample:
     hflip = bool(rng.random() < 0.5)
     vflip = bool(rng.random() < 0.5)
     quarter_turns = int(rng.integers(0, 4))
-    return Sample._of_indices(
+    return Sample(
         flip_rotate(sample.image, hflip, vflip, quarter_turns),
-        flip_rotate(sample.indices, hflip, vflip, quarter_turns),
-        sample.classes,
+        LabelMap(flip_rotate(sample.label.indices, hflip, vflip, quarter_turns), sample.label.classes),
         sample.id,
     )
 
@@ -269,7 +240,7 @@ def export_dataset(
         ids = []
         for sample in samples:
             write_pgm16(out / "images" / f"{sample.id}.pgm", np.round(sample.image * 65535.0))
-            write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.indices)
+            write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.label.indices)
             ids.append(sample.id)
         manifest["splits"][split] = ids
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"

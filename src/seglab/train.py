@@ -6,9 +6,9 @@ byte.  A null dataset seed is derived from the run seed.  Artifacts never
 embed absolute paths.  On glibc, ``run_experiment`` keeps freed blocks of up
 to 32 MB in the process heap (see ``_keep_freed_memory``).
 
-Each training step, validation epoch and test pass runs a checked forward and
-softmax on raw arrays and builds no map; validation and testing share one
-scoring loop.
+Each training step, validation epoch, test pass and gradient-map export runs
+the same checked forward and softmax on raw arrays; only the export wraps its
+gradients in maps.  Validation and testing share one scoring loop.
 
 Artifacts per training run: ``val_dsc.csv`` (header
 ``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
@@ -29,9 +29,9 @@ from .errors import ConfigError, TrainingAbortError
 from .gradcheck import export_gradient_map
 from .grid import GradientMap, ProbabilityMap, _one_hot
 from .imgio import write_atomic
-from .losses import LossConfig, _combined, combined_loss
+from .losses import LossConfig, _combined
 from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
-from .net import ForwardCache, SegNet, _softmax, _softmax_backward, backward, forward, save_checkpoint, softmax
+from .net import ForwardCache, SegNet, _softmax, _softmax_backward, backward, forward, save_checkpoint
 from .optim import AdamState, MomentumState, SchedulerState, adam_step, scheduler_step, sgd_step
 from .synthdata import DatasetSpec, Sample, augment, generate
 
@@ -92,7 +92,7 @@ def _sample_loss_grad(
     epoch: int,
 ) -> tuple[float, np.ndarray]:
     s, cache = _probabilities(net, sample, f"at epoch {epoch}")
-    value, grad_s = _combined(terms, _one_hot(sample.indices, s.shape[0]), s, lcfg)
+    value, grad_s = _combined(terms, _one_hot(sample.label.indices, s.shape[0]), s, lcfg)
     GradientMap.check(grad_s)
     grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
     return float(value), backward(net, cache, grad_z)
@@ -103,9 +103,9 @@ def _score(net: SegNet, samples: list[Sample], when: str, calibration: bool = Fa
     dsc_rows, clece_rows = [], []
     for sample in samples:
         s, _ = _probabilities(net, sample, when)
-        dsc_rows.append(_argmax_dsc(sample.indices, s)[1:])
+        dsc_rows.append(_argmax_dsc(sample.label.indices, s)[1:])
         if calibration:
-            clece_rows.append(_clece_cells(sample.indices, s, DEFAULT_BINS)[0][1:])
+            clece_rows.append(_clece_cells(sample.label.indices, s, DEFAULT_BINS)[0][1:])
     return np.array(dsc_rows), np.array(clece_rows)
 
 
@@ -126,12 +126,11 @@ def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> 
 
 def _export_gradient_maps(net: SegNet, sample: Sample, losses: dict, lcfg: LossConfig, out: Path) -> list[Path]:
     """One PFM per class plane of dL/ds for each named term set in losses, at the net's parameters."""
-    logits, _ = forward(net, sample.image)
-    probs = softmax(logits)
+    s, _ = _probabilities(net, sample, "for the gradient maps")
     label = sample.label
     written: list[Path] = []
     for name, terms in losses.items():
-        _, grad_s = combined_loss(terms, label, probs, lcfg)
+        grad_s = GradientMap(label.shape, label.classes, _combined(terms, label.values, s, lcfg)[1])
         written.extend(export_gradient_map(grad_s, out / f"gradmap_{name}"))
     return written
 
@@ -292,12 +291,16 @@ def run_comparison(cfgs: list[ExperimentConfig], out_dir: str | Path) -> tuple[P
         raise ConfigError("compare needs at least one config")
     _require_comparable(cfgs)
     out = Path(out_dir)
+    cfgs = [
+        cfg if cfg.output_dir is not None else replace(cfg, output_dir=out / f"run{i}_{cfg.loss_kind}_{cfg.optimizer.kind}")
+        for i, cfg in enumerate(cfgs)
+    ]
+    resolved = [Path(cfg.output_dir).resolve() for cfg in cfgs]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            raise ConfigError(f"compared configs share the output directory {cfgs[i].output_dir}")
     out.mkdir(parents=True, exist_ok=True)
-    results = []
-    for i, cfg in enumerate(cfgs):
-        if cfg.output_dir is None:
-            cfg = replace(cfg, output_dir=out / f"run{i}_{cfg.loss_kind}_{cfg.optimizer.kind}")
-        results.append(run_experiment(cfg))
+    results = [run_experiment(cfg) for cfg in cfgs]
 
     count_objects = cfgs[0].dataset.classes.count_objects
     header = ["loss", "optimizer", *(f"dsc_k{k}" for k in range(1, count_objects + 1)), "dsc_mean"]

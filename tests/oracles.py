@@ -31,7 +31,7 @@ def random_instance(
     pixels = int(rng.integers(4, max_pixels + 1))
     classes = ClassSet(count_objects)
     idx = rng.integers(0, classes.total, size=pixels)
-    labels = one_hot(idx, classes)
+    labels = LabelMap(idx, classes)
     probs = ProbabilityMap(
         GridShape((pixels,)),
         classes,
@@ -40,26 +40,24 @@ def random_instance(
     return labels, probs
 
 
-def one_hot(idx: np.ndarray, classes: ClassSet) -> LabelMap:
-    """Loop-built one-hot map (independent of grid.one_hot_from_indices)."""
-    idx = np.asarray(idx)
-    flat = idx.reshape(-1)
+def one_hot(idx: np.ndarray, classes: ClassSet) -> np.ndarray:
+    """Loop-built one-hot planes of an index map, shaped (classes.total, idx.size)."""
+    flat = np.asarray(idx).reshape(-1)
     planes = np.zeros((classes.total, flat.size))
     for i, k in enumerate(flat):
         planes[int(k), i] = 1.0
-    return LabelMap(GridShape(idx.shape), classes, planes)
+    return planes
 
 
 def binary_pair(
     y_fore: list[float], s_fore: list[float]
 ) -> tuple[LabelMap, ProbabilityMap]:
-    """Binary task from foreground vectors; background is the complement."""
-    yf = np.array(y_fore, dtype=float)
+    """Binary task from a 0/1 label vector and foreground probabilities; the
+    background probability is the complement."""
     sf = np.array(s_fore, dtype=float)
     classes = ClassSet(1)
-    shape = GridShape((yf.size,))
-    labels = LabelMap(shape, classes, np.stack([1.0 - yf, yf]))
-    probs = ProbabilityMap(shape, classes, np.stack([1.0 - sf, sf]))
+    labels = LabelMap(np.array(y_fore, dtype=np.intp), classes)
+    probs = ProbabilityMap(labels.shape, classes, np.stack([1.0 - sf, sf]))
     return labels, probs
 
 
@@ -87,7 +85,7 @@ def noisy_prediction_instance(
         idx = dist.argmin(axis=0)
         if np.bincount(idx.ravel(), minlength=total).min() >= 0.15 * n:
             break
-    labels = one_hot(idx, classes)
+    labels = LabelMap(idx, classes)
     hard = rng.random(n) < 0.1
     true_mass = np.where(
         hard, rng.uniform(0.05, 0.3, size=n), rng.uniform(0.7, 0.99, size=n)

@@ -20,7 +20,7 @@ from seglab.gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from seglab.grid import ClassSet, GradientMap, GridShape, ProbabilityMap, overlap_stats
+from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.losses import (
     LossConfig,
     ce_grad,
@@ -44,7 +44,6 @@ from .oracles import (
     clece_oracle,
     dsc_oracle,
     noisy_prediction_instance,
-    one_hot,
     random_instance,
 )
 
@@ -83,7 +82,7 @@ def test_criterion_1_gradient_oracle_suite():
     worst_end_to_end = 0.0
     net = SegNet(ClassSet(2), seed=202)
     image = rng.uniform(0, 1, (16, 16))
-    labels = one_hot(rng.integers(0, 3, (16, 16)), ClassSet(2))
+    labels = LabelMap(rng.integers(0, 3, (16, 16)), ClassSet(2))
     h = 1e-4
 
     def probe(terms, theta):
@@ -315,8 +314,8 @@ def test_criterion_8_metric_suite():
         count_objects = int(rng.integers(1, 4))
         classes = ClassSet(count_objects)
         pixels = int(rng.integers(classes.total, 24))
-        y = one_hot(rng.integers(0, classes.total, pixels), classes)
-        pred = one_hot(rng.integers(0, classes.total, pixels), classes)
+        y = LabelMap(rng.integers(0, classes.total, pixels), classes)
+        pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
         worst_dsc = max(worst_dsc, float(np.abs(dsc(y, pred) - dsc_oracle(y, pred)).max()))
         _, s = random_instance(rng, max_pixels=24, s_low=0.0, s_high=1.0)
         y2, s2 = random_instance(rng, max_pixels=24, s_low=0.0, s_high=1.0)
@@ -331,8 +330,8 @@ def test_criterion_8_metric_suite():
         idx = np.concatenate(
             [np.arange(classes.total), rng.integers(0, classes.total, pixels - classes.total)]
         )
-        y = one_hot(rng.permutation(idx), classes)
-        pred = one_hot(rng.integers(0, classes.total, pixels), classes)
+        y = LabelMap(rng.permutation(idx), classes)
+        pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
         s = ProbabilityMap(pred.shape, pred.classes, pred.values)
         gap = abs((1.0 - dice_loss(y, s, cfg)) - dsc(y, pred, eps=1e-12).mean())
         worst_consistency = max(worst_consistency, gap)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,11 +22,13 @@ from seglab.cli import (
     run_experiment,
 )
 from seglab.errors import ConfigError
-from seglab.grid import ClassSet, one_hot_from_indices
+from seglab.grid import ClassSet, LabelMap
 from seglab.losses import LOSS_IDS, LossConfig, combined_loss
 from seglab.net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
 from seglab.optim import default_optimizer_config
 from seglab.synthdata import DatasetSpec, Sample, generate
+
+PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity_artifacts.py"
 
 TINY_DATASET = {
     "kind": "acdc_like",
@@ -180,7 +184,7 @@ def hot_path_sample(kind: str, dims: tuple[int, int], seed: int) -> Sample:
     if dims == (64, 64):
         return generate(spec)[0][0]
     rng = np.random.default_rng(seed)
-    label = one_hot_from_indices(rng.integers(0, spec.classes.total, size=dims), spec.classes)
+    label = LabelMap(rng.integers(0, spec.classes.total, size=dims), spec.classes)
     return Sample(image=rng.random(dims), label=label, id="random")
 
 
@@ -204,8 +208,8 @@ class TestHotPath:
     def test_training_run_builds_no_map_per_step(self, tmp_path, monkeypatch):
         built = count_maps_built(monkeypatch, (grid.ProbabilityMap, grid.GradientMap))
         run_experiment(config_from_dict(tiny_config(epochs=2, output_dir=str(tmp_path / "run"))))
-        # only the gradient-map export after training: one of each
-        assert sorted(cls.__name__ for cls in built) == ["GradientMap", "ProbabilityMap"]
+        # only the gradient-map export after training, one map per term set
+        assert [cls.__name__ for cls in built] == ["GradientMap"]
 
     def test_warm_step_allocates_under_3_5_mb(self):
         # 3.27 MB, of which forward's im2col matrix is 2.4 MB
@@ -249,6 +253,15 @@ class TestDeterminism:
         assert set(a) == set(b) and "gradmap_combined_k1.pfm" in a
         for name in a:
             assert a[name] == b[name], f"artifact {name} differs between augmented runs"
+
+    def test_parity_artifacts_twice_are_identical(self, tmp_path):
+        # every command of tools/parity_artifacts.py, audit, gradmap and compare included
+        for out in ("a", "b"):
+            subprocess.run([sys.executable, str(PARITY), str(PARITY.parents[1]), str(tmp_path / out)], check=True, capture_output=True)
+        trees = [{p.relative_to(tmp_path / out): p.read_bytes() for p in sorted((tmp_path / out).rglob("*")) if p.is_file()} for out in ("a", "b")]
+        assert len(trees[0]) > 50 and set(trees[0]) == set(trees[1])
+        for name, data in trees[0].items():
+            assert data == trees[1][name], f"{name} differs between the two parity runs"
 
     def test_generate_twice_is_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())
@@ -523,6 +536,30 @@ class TestBadInput:
         line = self.single_error_line(capsys)
         assert "non-finite logits" in line and where in line
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("value", [np.inf, 1e300, np.nan], ids=["inf", "huge", "nan"])
+    def test_gradmap_of_a_blown_up_checkpoint_reports_only_the_error_line(self, tmp_path, capsys, value):
+        cfg_path = write_config(tmp_path, tiny_config(epochs=0, output_dir=str(tmp_path / "run")))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "best.ckpt"
+        header, block = ckpt.read_bytes().split(b"\n", 1)
+        ckpt.write_bytes(header + b"\n" + np.full(len(block) // 8, value).astype("<f8").tobytes())
+        capsys.readouterr()
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0001", "--out", str(tmp_path / "maps")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gradmap", *args]) == 2
+        line = self.single_error_line(capsys)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # a finite block loads; its overflow is reported for the sample
+        assert (str(ckpt) if not np.isfinite(value) else "acdc_like-val-0001") in line
+
+    def test_compare_rejects_configs_sharing_an_output_dir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        paths = [write_config(tmp_path, tiny_config(loss, epochs=1, output_dir="same"), f"{loss}.json") for loss in ("dice", "ce")]
+        assert main(["compare", "--configs", *map(str, paths), "--out", "cmp"]) == 2
+        assert "same" in self.single_error_line(capsys)
+        assert not (tmp_path / "same").exists() and not (tmp_path / "cmp").exists()
 
     def test_misspelled_keys_rejected_before_defaults_apply(self):
         with pytest.raises(ConfigError, match="'datset', 'epoch'"):

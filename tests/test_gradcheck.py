@@ -18,7 +18,7 @@ from seglab.gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from seglab.grid import ClassSet, GradientMap, GridShape, ProbabilityMap, overlap_stats
+from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.imgio import read_pfm
 from seglab.losses import (
     LOSSES,
@@ -33,7 +33,7 @@ from seglab.losses import (
 )
 from seglab.metrics import argmax_predict  # noqa: F401  (keeps import graph honest)
 
-from .oracles import binary_pair, finite_diff_loop, noisy_prediction_instance, one_hot, random_instance
+from .oracles import binary_pair, finite_diff_loop, noisy_prediction_instance, random_instance
 
 # Every table entry on its own, and the ce+dice combination the paper trains with.
 VALUE_FNS = {lid: value_fn for lid, (value_fn, _) in LOSSES.items()} | {
@@ -59,7 +59,7 @@ class TestFiniteDiff:
         assert max_relative_error(analytic, numeric) < 1e-6
 
     def test_ce_at_half_half(self):
-        y = one_hot(np.array([1]), ClassSet(1))
+        y = LabelMap(np.array([1]), ClassSet(1))
         s = ProbabilityMap(GridShape((1,)), ClassSet(1), np.array([[0.5], [0.5]]))
         numeric = finite_diff_grad(lambda p: ce_loss(y, p), s, 1e-5)
         assert numeric.values[1, 0] == pytest.approx(-1.0, rel=1e-6)
@@ -116,7 +116,7 @@ class TestAgainstLoop:
     @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
     def test_instance_larger_than_one_block(self, value_fn):
         rng = np.random.default_rng(13)
-        y = one_hot(rng.integers(0, 4, 64), ClassSet(3))
+        y = LabelMap(rng.integers(0, 4, 64), ClassSet(3))
         s = ProbabilityMap(y.shape, y.classes, rng.uniform(0.05, 0.95, (4, 64)))
         assert 2 * s.values.size**2 > PROBE_BLOCK  # its 512 probes of 256 values take several stacks
         cfg = LossConfig()
@@ -140,14 +140,14 @@ class TestTwoValued:
 
     def test_all_background_plane_collapses_to_one_value(self):
         # class 2 never occurs: its plane has I=0, so a single gradient value
-        y = one_hot(np.array([0, 1, 1]), ClassSet(2))
+        y = LabelMap(np.array([0, 1, 1]), ClassSet(2))
         s = ProbabilityMap(GridShape((3,)), ClassSet(2), np.full((3, 3), 0.2))
         counts = audit_two_valued(dice_grad(y, s))
         assert counts[2] == 1
 
     def test_ce_gradient_generically_exceeds_two(self):
         rng = np.random.default_rng(3)
-        y = one_hot(rng.integers(0, 2, 32), ClassSet(1))
+        y = LabelMap(rng.integers(0, 2, 32), ClassSet(1))
         s = ProbabilityMap(GridShape((32,)), ClassSet(1), rng.uniform(0.1, 0.9, (2, 32)))
         counts = audit_two_valued(ce_grad(y, s))
         assert max(counts) > 2
@@ -240,7 +240,7 @@ class TestExport:
 
     def test_worked_gradient_round_trip(self, tmp_path):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
-        y2 = type(y)(GridShape((2, 2)), y.classes, y.values)
+        y2 = LabelMap(y.indices.reshape(2, 2), y.classes)
         s2 = type(s)(GridShape((2, 2)), s.classes, s.values)
         g = dice_grad(y2, s2, LossConfig(epsilon=1e-12))
         paths = export_gradient_map(g, tmp_path / "worked")

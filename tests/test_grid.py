@@ -9,11 +9,10 @@ from seglab.grid import (
     GridShape,
     LabelMap,
     ProbabilityMap,
-    one_hot_from_indices,
     overlap_stats,
 )
 
-from .oracles import binary_pair
+from .oracles import binary_pair, one_hot
 
 
 class TestTypes:
@@ -35,14 +34,6 @@ class TestTypes:
         with pytest.raises(ValidationError):
             GridShape(())
 
-    def test_label_map_requires_one_hot(self):
-        classes = ClassSet(1)
-        shape = GridShape((2,))
-        with pytest.raises(ValidationError):
-            LabelMap(shape, classes, np.array([[1.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(ValidationError):
-            LabelMap(shape, classes, np.array([[0.5, 0.5], [0.5, 0.5]]))
-
     def test_probability_map_range(self):
         classes = ClassSet(1)
         shape = GridShape((2,))
@@ -54,7 +45,7 @@ class TestTypes:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            LabelMap(GridShape((3,)), ClassSet(1), np.zeros((2, 4)))
+            ProbabilityMap(GridShape((3,)), ClassSet(1), np.zeros((2, 4)))
 
     def test_values_frozen(self):
         y, s = binary_pair([1, 0], [0.5, 0.5])
@@ -68,9 +59,9 @@ class TestTypes:
         shape = GridShape((2, 2))
         planes = np.zeros((2, 2, 2))
         planes[0] = 1.0
-        y = LabelMap(shape, classes, planes)
-        assert y.values.shape == (2, 4)
-        assert np.array_equal(y.plane(0), np.ones((2, 2)))
+        s = ProbabilityMap(shape, classes, planes)
+        assert s.values.shape == (2, 4)
+        assert np.array_equal(s.plane(0), np.ones((2, 2)))
 
 
 class TestOverlapStats:
@@ -106,7 +97,7 @@ class TestOverlapStats:
             count_objects = int(rng.integers(1, 4))
             pixels = int(rng.integers(1, 33))
             classes = ClassSet(count_objects)
-            y = one_hot_from_indices(rng.integers(0, classes.total, pixels), classes)
+            y = LabelMap(rng.integers(0, classes.total, pixels), classes)
             s = ProbabilityMap(
                 GridShape((pixels,)), classes, rng.uniform(0, 1, (classes.total, pixels))
             )
@@ -122,12 +113,12 @@ class TestOverlapStats:
         rng = np.random.default_rng(seed)
         pixels = int(rng.integers(2, 32))
         classes = ClassSet(int(rng.integers(1, 4)))
-        y = one_hot_from_indices(rng.integers(0, classes.total, pixels), classes)
+        y = LabelMap(rng.integers(0, classes.total, pixels), classes)
         s = ProbabilityMap(
             GridShape((pixels,)), classes, rng.uniform(0, 1, (classes.total, pixels))
         )
         perm = rng.permutation(pixels)
-        y_p = LabelMap(y.shape, y.classes, y.values[:, perm])
+        y_p = LabelMap(y.indices[perm], y.classes)
         s_p = ProbabilityMap(s.shape, s.classes, s.values[:, perm])
         a = overlap_stats(y, s)
         b = overlap_stats(y_p, s_p)
@@ -138,18 +129,18 @@ class TestOverlapStats:
 class TestOneHot:
     def test_basic_planes(self):
         classes = ClassSet(2)
-        y = one_hot_from_indices(np.array([0, 2]), classes)
+        y = LabelMap(np.array([0, 2]), classes)
         assert np.array_equal(y.values, [[1, 0], [0, 0], [0, 1]])
 
     def test_all_background(self):
-        y = one_hot_from_indices(np.zeros(5, dtype=int), ClassSet(1))
+        y = LabelMap(np.zeros(5, dtype=int), ClassSet(1))
         assert np.array_equal(y.values[0], np.ones(5))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            one_hot_from_indices(np.array([0, 3]), ClassSet(2))
+            LabelMap(np.array([0, 3]), ClassSet(2))
         with pytest.raises(ValidationError):
-            one_hot_from_indices(np.array([-1]), ClassSet(2))
+            LabelMap(np.array([-1]), ClassSet(2))
 
     def test_round_trip_100_random_maps(self):
         rng = np.random.default_rng(5)
@@ -157,6 +148,44 @@ class TestOneHot:
             classes = ClassSet(int(rng.integers(1, 5)))
             dims = (int(rng.integers(1, 7)), int(rng.integers(1, 7)))
             idx = rng.integers(0, classes.total, dims)
-            y = one_hot_from_indices(idx, classes)
-            assert np.array_equal(y.class_indices(), idx)
+            y = LabelMap(idx, classes)
+            assert np.array_equal(y.indices, idx)
+            assert np.array_equal(y.values.argmax(axis=0).reshape(dims), idx)
             assert (y.values.sum(axis=0) == 1.0).all()
+
+
+class TestLabelMap:
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([0.0, 1.0]),
+            np.array([False, True]),
+            np.array([0, -1]),
+            np.array([0, 3]),
+            np.zeros((0,), dtype=int),
+        ],
+        ids=["float", "bool", "negative", "at_total", "empty"],
+    )
+    def test_rejected(self, indices):
+        with pytest.raises(ValidationError):
+            LabelMap(indices, ClassSet(2))
+
+    def test_values_equal_loop_built_planes_and_are_read_only(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            classes = ClassSet(int(rng.integers(1, 5)))
+            dims = (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            y = LabelMap(rng.integers(0, classes.total, dims), classes)
+            assert y.shape == GridShape(dims)
+            assert y.values.dtype == np.float64
+            assert np.array_equal(y.values, one_hot(y.indices, classes))
+            with pytest.raises(ValueError):
+                y.values[0, 0] = 5.0
+
+    def test_indices_copied_read_only_in_smallest_unsigned_dtype(self):
+        idx = np.array([[0, 1], [2, 1]])
+        y = LabelMap(idx, ClassSet(2))
+        idx[0, 0] = 2
+        assert y.indices.dtype == np.uint8 and y.indices[0, 0] == 0
+        with pytest.raises(ValueError):
+            y.indices[0, 0] = 1

@@ -19,7 +19,7 @@ from seglab.losses import (
     nm_loss,
 )
 
-from .oracles import binary_pair, one_hot, random_instance
+from .oracles import binary_pair, random_instance
 
 # Near-zero guard for comparisons against closed forms derived at eps -> 0.
 TINY_EPS = LossConfig(epsilon=1e-12)
@@ -133,7 +133,7 @@ class TestDiceGrad:
 
 class TestCrossEntropy:
     def test_single_pixel_two_classes(self):
-        y = one_hot(np.array([1]), ClassSet(1))
+        y = LabelMap(np.array([1]), ClassSet(1))
         s = ProbabilityMap(GridShape((1,)), ClassSet(1), np.array([[0.5], [0.5]]))
         assert ce_loss(y, s) == pytest.approx(-np.log(0.5) / 2, rel=1e-12)
         g = ce_grad(y, s)
@@ -145,19 +145,19 @@ class TestCrossEntropy:
         assert ce_loss(y, s) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_correct_pixels(self):
-        y = one_hot(np.array([1, 1]), ClassSet(1))
+        y = LabelMap(np.array([1, 1]), ClassSet(1))
         s = ProbabilityMap(GridShape((2,)), ClassSet(1), np.array([[0.1, 0.1], [0.9, 0.9]]))
         assert ce_loss(y, s) == pytest.approx(2 * -np.log(0.9) / 4, rel=1e-12)
 
     def test_empty_class_plane_has_zero_gradient(self):
-        y = one_hot(np.array([0, 0, 0]), ClassSet(2))
+        y = LabelMap(np.array([0, 0, 0]), ClassSet(2))
         s = ProbabilityMap(GridShape((3,)), ClassSet(2), np.full((3, 3), 1 / 3))
         g = ce_grad(y, s)
         assert (g.values[1] == 0.0).all()
         assert (g.values[2] == 0.0).all()
 
     def test_gradient_magnitude_varies_with_confidence(self):
-        y = one_hot(np.array([1, 1]), ClassSet(1))
+        y = LabelMap(np.array([1, 1]), ClassSet(1))
         s = ProbabilityMap(GridShape((2,)), ClassSet(1), np.array([[0.1, 0.5], [0.9, 0.5]]))
         g = ce_grad(y, s)
         assert abs(g.values[1, 0]) != abs(g.values[1, 1])
@@ -171,31 +171,31 @@ class TestCrossEntropy:
 class TestMime:
     def test_reference_weight_map(self):
         # omega = -2y + 0.1 rewritten as a=1.9, b=0.1
-        y = one_hot(np.array([1, 0, 0]), ClassSet(1))
+        y = LabelMap(np.array([1, 0, 0]), ClassSet(1))
         w = mime_weights(y, a=1.9, b=0.1)
         assert np.allclose(w[1], [-1.9, 0.1, 0.1])
         assert np.allclose(w[0], [0.1, -1.9, -1.9])
 
     def test_symmetric_weights(self):
-        y = one_hot(np.array([1, 0]), ClassSet(1))
+        y = LabelMap(np.array([1, 0]), ClassSet(1))
         w = mime_weights(y, a=1.0, b=1.0)
         assert np.array_equal(w, 1.0 - 2.0 * y.values)
 
     def test_rejects_non_positive_weights(self):
-        y = one_hot(np.array([0]), ClassSet(1))
+        y = LabelMap(np.array([0]), ClassSet(1))
         for a, b in ((0.0, 0.1), (1.9, 0.0), (-1.9, 0.1)):
             with pytest.raises(ValidationError):
                 mime_weights(y, a, b)
 
     def test_worked_inner_product(self):
         # one pixel, three classes, true class 0: omega = [-1.9, 0.1, 0.1]
-        y = one_hot(np.array([0]), ClassSet(2))
+        y = LabelMap(np.array([0]), ClassSet(2))
         cfg = LossConfig(mime_a=1.9, mime_b=0.1)
         s = ProbabilityMap(GridShape((1,)), ClassSet(2), np.array([[0.8], [0.1], [0.1]]))
         assert mime_loss(y, s, cfg) == pytest.approx(-1.50, rel=1e-12)
 
     def test_zero_probabilities_give_zero(self):
-        y = one_hot(np.array([0, 1]), ClassSet(1))
+        y = LabelMap(np.array([0, 1]), ClassSet(1))
         cfg = LossConfig(mime_a=1.9, mime_b=0.1)
         s = ProbabilityMap(GridShape((2,)), ClassSet(1), np.zeros((2, 2)))
         assert mime_loss(y, s, cfg) == 0.0
@@ -212,14 +212,14 @@ class TestMime:
 
 class TestNm:
     def test_worked_inner_product(self):
-        y = one_hot(np.array([0]), ClassSet(1))
+        y = LabelMap(np.array([0]), ClassSet(1))
         s = ProbabilityMap(GridShape((1,)), ClassSet(1), np.array([[0.7], [0.3]]))
         assert nm_loss(y, s) == pytest.approx(-0.7, rel=1e-12)
 
     def test_one_hot_prediction_gives_negative_pixel_count(self):
         rng = np.random.default_rng(8)
         idx = rng.integers(0, 3, size=17)
-        y = one_hot(idx, ClassSet(2))
+        y = LabelMap(idx, ClassSet(2))
         s = ProbabilityMap(y.shape, y.classes, y.values)
         assert nm_loss(y, s) == pytest.approx(-17.0, rel=1e-12)
 

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglab.errors import ValidationError
-from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap
+from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_sums
 from seglab.losses import LossConfig, dice_loss
 from seglab.metrics import (
+    DSC_EPS,
     BinStat,
     _argmax,
     _argmax_dsc,
@@ -20,15 +21,15 @@ from seglab.metrics import (
 )
 from seglab.net import softmax
 
-from .oracles import clece_oracle, clece_report_loop, dsc_oracle, one_hot, random_instance
+from .oracles import clece_oracle, clece_report_loop, dsc_oracle, random_instance
 
 
 def random_label_pair(rng, max_pixels=24):
     count_objects = int(rng.integers(1, 4))
     pixels = int(rng.integers(2, max_pixels))
     classes = ClassSet(count_objects)
-    y = one_hot(rng.integers(0, classes.total, pixels), classes)
-    pred = one_hot(rng.integers(0, classes.total, pixels), classes)
+    y = LabelMap(rng.integers(0, classes.total, pixels), classes)
+    pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
     return y, pred
 
 
@@ -39,20 +40,20 @@ class TestDsc:
         assert dsc(y, y) == pytest.approx(np.ones(y.classes.total), abs=1e-8)
 
     def test_disjoint_supports_score_zero(self):
-        y = one_hot(np.array([1, 0]), ClassSet(1))
-        pred = one_hot(np.array([0, 1]), ClassSet(1))
+        y = LabelMap(np.array([1, 0]), ClassSet(1))
+        pred = LabelMap(np.array([0, 1]), ClassSet(1))
         assert dsc(y, pred) == pytest.approx(np.zeros(2), abs=1e-12)
 
     def test_worked_two_thirds(self):
         # |y|=2, |pred|=1, overlap 1 for class 1
-        y = one_hot(np.array([1, 1, 0]), ClassSet(1))
-        pred = one_hot(np.array([1, 0, 0]), ClassSet(1))
+        y = LabelMap(np.array([1, 1, 0]), ClassSet(1))
+        pred = LabelMap(np.array([1, 0, 0]), ClassSet(1))
         assert dsc(y, pred)[1] == pytest.approx(2 / 3, rel=1e-7)
 
     def test_both_empty_class_scores_one(self):
         # class 2 appears in neither map
-        y = one_hot(np.array([0, 1]), ClassSet(2))
-        pred = one_hot(np.array([1, 0]), ClassSet(2))
+        y = LabelMap(np.array([0, 1]), ClassSet(2))
+        pred = LabelMap(np.array([1, 0]), ClassSet(2))
         assert dsc(y, pred)[2] == 1.0
 
     def test_symmetry_and_permutation_invariance(self):
@@ -62,8 +63,8 @@ class TestDsc:
             forward_scores = dsc(y, pred)
             assert np.array_equal(forward_scores, dsc(pred, y))
             perm = rng.permutation(y.shape.pixel_count)
-            y_p = LabelMap(y.shape, y.classes, y.values[:, perm])
-            pred_p = LabelMap(pred.shape, pred.classes, pred.values[:, perm])
+            y_p = LabelMap(y.indices[perm], y.classes)
+            pred_p = LabelMap(pred.indices[perm], pred.classes)
             assert np.allclose(forward_scores, dsc(y_p, pred_p), atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
@@ -116,14 +117,14 @@ class TestClece:
         assert clece(y, s) == pytest.approx(np.zeros(y.classes.total), abs=1e-12)
 
     def test_single_pixel_gap(self):
-        y = one_hot(np.array([1]), ClassSet(1))
+        y = LabelMap(np.array([1]), ClassSet(1))
         s = ProbabilityMap(GridShape((1,)), ClassSet(1), np.array([[0.3], [0.7]]))
         values = clece(y, s)
         assert values[1] == pytest.approx(0.3, rel=1e-12)
         assert values[0] == pytest.approx(0.3, rel=1e-12)
 
     def test_constant_half_on_balanced_plane(self):
-        y = one_hot(np.array([1, 0, 1, 0]), ClassSet(1))
+        y = LabelMap(np.array([1, 0, 1, 0]), ClassSet(1))
         s = ProbabilityMap(GridShape((4,)), ClassSet(1), np.full((2, 4), 0.5))
         assert clece(y, s) == pytest.approx(np.zeros(2), abs=1e-12)
 
@@ -134,7 +135,7 @@ class TestClece:
             values = clece(y, s)
             assert (values >= 0.0).all() and (values <= 1.0).all()
             perm = rng.permutation(y.shape.pixel_count)
-            y_p = LabelMap(y.shape, y.classes, y.values[:, perm])
+            y_p = LabelMap(y.indices[perm], y.classes)
             s_p = ProbabilityMap(s.shape, s.classes, s.values[:, perm])
             assert np.allclose(values, clece(y_p, s_p), atol=1e-12)
 
@@ -165,8 +166,8 @@ class TestCrossModuleConsistency:
             idx = np.concatenate(
                 [np.arange(classes.total), rng.integers(0, classes.total, pixels - classes.total)]
             )
-            y = one_hot(rng.permutation(idx), classes)
-            pred = one_hot(rng.integers(0, classes.total, pixels), classes)
+            y = LabelMap(rng.permutation(idx), classes)
+            pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
             s = ProbabilityMap(pred.shape, pred.classes, pred.values)
             loss = dice_loss(y, s, cfg)
             mean_all_classes = dsc(y, pred, eps=1e-12).mean()
@@ -197,7 +198,7 @@ def random_grid(rng, sides=(1, 71)):
 def softmax_instance(rng, dims):
     total = int(rng.integers(2, 5))
     logits = rng.normal(size=(total, *dims)) * rng.uniform(0.1, 6.0)
-    return one_hot(rng.integers(0, total, size=dims), ClassSet(total - 1)), softmax(logits)
+    return LabelMap(rng.integers(0, total, size=dims), ClassSet(total - 1)), softmax(logits)
 
 
 class TestAgainstPerBinLoop:
@@ -241,7 +242,7 @@ class TestAgainstPerBinLoop:
             logits = rng.integers(0, 3, size=(total, *dims)).astype(float)
             if trial % 2:
                 logits[total - 1] = -10.0
-            y = one_hot(rng.integers(0, 1 + trial % total, size=dims), ClassSet(total - 1))
+            y = LabelMap(rng.integers(0, 1 + trial % total, size=dims), ClassSet(total - 1))
             s = softmax(logits)
             assert np.array_equal(argmax_dsc(y, s), dsc(y, argmax_predict(s)))
             for planes in (logits.reshape(total, -1), s.values):
@@ -280,7 +281,7 @@ def index_instance(draw):
     logits = rng.integers(0, levels, size=(total, *dims)).astype(float)
     if absent:
         logits[present:] = -10.0
-    y = one_hot(rng.integers(0, present, size=dims), ClassSet(total - 1))
+    y = LabelMap(rng.integers(0, present, size=dims), ClassSet(total - 1))
     return y, softmax(logits), draw(st.integers(1, 24))
 
 
@@ -291,9 +292,12 @@ class TestIndexKernels:
     @given(index_instance())
     def test_kernels_equal_one_hot_references(self, instance):
         y, s, bins = instance
-        ref_dsc = dsc(y, argmax_predict(s))
+        pred = argmax_predict(s)
+        inter, union = overlap_sums(y.values, pred.values)  # U = |A| + |B| over one-hot planes
+        ref_dsc = np.where(union > 0, 2.0 * inter / (union + DSC_EPS), 1.0)
+        assert dsc(y, pred).tobytes() == ref_dsc.tobytes()
         ref_values, ref_diagnostics = clece_report_loop(y, s, bins)
-        for labels in (y.class_indices(), y.class_indices().astype(np.uint8)):
+        for labels in (y.indices, y.indices.astype(np.intp)):
             assert _argmax_dsc(labels, s.values).tobytes() == ref_dsc.tobytes()
             values, counts, confidence, accuracy = _clece_cells(labels, s.values, bins)
             assert values.tobytes() == ref_values.tobytes()

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seglab.errors import SegLabError, ShapeMismatchError, StaleCacheError, ValidationError
-from seglab.grid import ClassSet, GradientMap, GridShape, ProbabilityMap
+from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, combined_loss
 from seglab.net import (
     ConvLayer,
@@ -19,7 +19,7 @@ from seglab.net import (
     softmax_backward,
 )
 
-from .oracles import im2col_backward, im2col_forward, one_hot
+from .oracles import im2col_backward, im2col_forward
 
 
 def make_net(count_objects=2, seed=0):
@@ -124,7 +124,7 @@ class TestSoftmaxBackward:
     def test_matches_finite_differences_through_composite(self):
         rng = np.random.default_rng(7)
         z = rng.normal(0, 1, (3, 3, 3))
-        y = one_hot(rng.integers(0, 3, (3, 3)), ClassSet(2))
+        y = LabelMap(rng.integers(0, 3, (3, 3)), ClassSet(2))
         cfg = LossConfig()
 
         def composite(logits):
@@ -205,7 +205,7 @@ class TestBackward:
         cfg = LossConfig()
         for dims in ((8, 8), (5, 9)):
             img = rng.uniform(0, 1, dims)
-            y = one_hot(rng.integers(0, 2, dims), ClassSet(1))
+            y = LabelMap(rng.integers(0, 2, dims), ClassSet(1))
             for terms in ([("dice", 1.0)], [("ce", 1.0)]):
                 logits, cache = forward(net, img)
                 s = softmax(logits)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestGenerate:
         spec = DatasetSpec(kind="acdc_like", train=2, val=1, test=1, noise_sigma=0.0, seed=3)
         train, _, _ = generate(spec)
         for sample in train:
-            idx = sample.label.class_indices()
+            idx = sample.label.indices
             for k, level in ACDC_INTENSITIES.items():
                 region = sample.image[idx == k]
                 assert region.size > 0
@@ -91,7 +92,7 @@ class TestGenerate:
         promise = DatasetSpec(kind="promise_like", train=2, val=1, test=1, noise_sigma=0.0, seed=3)
         p_train, _, _ = generate(promise)
         for sample in p_train:
-            idx = sample.label.class_indices()
+            idx = sample.label.indices
             for k, level in PROMISE_INTENSITIES.items():
                 assert (sample.image[idx == k] == level).all()
 
@@ -109,9 +110,8 @@ class TestGenerate:
         promise = DatasetSpec(kind="promise_like", image_size=(48, 40), train=2, val=1, test=1, seed=3)
         for split in (*generate(SMALL), *generate(promise)):
             for s in split:
-                expected = one_hot(s.label.class_indices(), s.label.classes)
-                assert s.label.shape == expected.shape
-                assert np.array_equal(s.label.values, expected.values)
+                assert s.label.shape == GridShape(s.image.shape)
+                assert np.array_equal(s.label.values, one_hot(s.label.indices, s.label.classes))
 
 
 class TestAgainstMgridOracle:
@@ -132,7 +132,7 @@ class TestAgainstMgridOracle:
             sample = _make_sample(spec, np.random.default_rng(seed), "s")
             image, idx = synthetic_sample_mgrid(spec, np.random.default_rng(seed))
             assert sample.image.tobytes() == image.tobytes()
-            assert np.array_equal(sample.label.class_indices(), idx)
+            assert np.array_equal(sample.label.indices, idx)
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +150,13 @@ class TestGeometryOver100Samples:
     def test_disk_enclosed_by_annulus(self, samples):
         # every pixel bordering the disk belongs to the annulus
         for s in samples:
-            idx = s.label.class_indices()
+            idx = s.label.indices
             ring = neighbors4(idx == 3)
             assert (idx[ring] == 2).all()
 
     def test_annulus_and_crescent_disjoint_with_gap(self, samples):
         for s in samples:
-            idx = s.label.class_indices()
+            idx = s.label.indices
             assert not ((idx == 1) & (idx == 2)).any()
             touching = neighbors4(idx == 1)
             assert (idx[touching] != 2).all()
@@ -198,8 +198,8 @@ class TestAugment:
             assert (out.label.values.sum(axis=0) == 1.0).all()
             # image and label saw the same transform: class regions still sit
             # on the matching intensity plateaus (noise-free check via ranks)
-            assert sorted(np.bincount(out.label.class_indices().ravel(), minlength=4)) == sorted(
-                np.bincount(sample.label.class_indices().ravel(), minlength=4)
+            assert sorted(np.bincount(out.label.indices.ravel(), minlength=4)) == sorted(
+                np.bincount(sample.label.indices.ravel(), minlength=4)
             )
             assert dsc(out.label, out.label)[1:].min() > 0.99
 
@@ -213,9 +213,9 @@ class TestAugment:
             hflip = bool(rng.random() < 0.5)
             vflip = bool(rng.random() < 0.5)
             k = int(rng.integers(0, 4))
-            moved_idx = flip_rotate(sample.label.class_indices(), hflip, vflip, k)
+            moved_idx = flip_rotate(sample.label.indices, hflip, vflip, k)
             moved_img = flip_rotate(sample.image, hflip, vflip, k)
-            assert np.array_equal(out.label.class_indices(), moved_idx)
+            assert np.array_equal(out.label.indices, moved_idx)
             assert np.array_equal(out.image, moved_img)
 
 
@@ -232,7 +232,7 @@ class TestExport:
         image_back = read_pgm16(tmp_path / "images" / f"{sample.id}.pgm")
         assert np.array_equal(image_back, np.round(sample.image * 65535.0).astype(np.uint16))
         label_back = read_pgm16(tmp_path / "labels" / f"{sample.id}.pgm")
-        assert np.array_equal(label_back, sample.label.class_indices().astype(np.uint16))
+        assert np.array_equal(label_back, sample.label.indices.astype(np.uint16))
 
     def test_image_reconstruction_error_within_quantization(self, tmp_path):
         train, val, test = generate(SMALL)
@@ -253,19 +253,19 @@ class TestSampleType:
         with pytest.raises(ValueError):
             train[0].image[0, 0] = 0.5
         with pytest.raises(ValueError):
-            train[0].indices[0, 0] = 1
+            train[0].label.indices[0, 0] = 1
 
     def test_generated_sample_holds_at_most_40_kb(self):
         train, _, _ = generate(DatasetSpec(kind="acdc_like", image_size=(64, 64), train=1, val=1, test=1, seed=2))
         sample = train[0]
-        assert sample.indices.dtype == np.uint8
-        assert sample.image.nbytes + sample.indices.nbytes <= 40 * 1024
-        assert not sample.indices.flags.writeable
+        assert sample.label.indices.dtype == np.uint8
+        assert sample.image.nbytes + sample.label.indices.nbytes <= 40 * 1024
+        assert not sample.label.indices.flags.writeable
 
     def test_label_round_trips_through_the_constructor(self):
         train, _, _ = generate(SMALL)
         label = train[0].label
         sample = Sample(image=train[0].image, label=label, id="copy")
-        assert sample.indices.dtype == np.uint8 and sample.classes == label.classes
-        assert np.array_equal(sample.indices, train[0].indices)
-        assert np.array_equal(sample.label.values, label.values)
+        assert [f.name for f in dataclasses.fields(Sample)] == ["image", "label", "id"]
+        assert sample.label is label
+        assert sample.image is not train[0].image and np.array_equal(sample.image, train[0].image)
