@@ -36,6 +36,7 @@ from .gradcheck import (
 from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
+from .optim import OPTIMIZER_KINDS
 from .synthdata import export_dataset, generate
 from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
 
@@ -146,6 +147,11 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
     if not header.get("config"):
         raise ConfigError(f"checkpoint {checkpoint} does not embed its experiment config")
     cfg = config_from_dict(header["config"])
+    if net.classes != cfg.dataset.classes:
+        raise ConfigError(
+            f"checkpoint {checkpoint} has {net.classes.total} classes, "
+            f"but its config's dataset has {cfg.dataset.classes.total}"
+        )
     splits = generate(_streams(cfg)[0])
     sample = next((s for split in splits for s in split if s.id == sample_id), None)
     if sample is None:
@@ -162,7 +168,7 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--loss", choices=LOSS_IDS, help="override the configured loss")
-    parser.add_argument("--opt", choices=("adam", "sgd"), help="override the optimizer")
+    parser.add_argument("--opt", choices=OPTIMIZER_KINDS, help="override the optimizer")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="override the output directory")
 

@@ -201,5 +201,5 @@ def config_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
 def load_config(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError and JSONDecodeError
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

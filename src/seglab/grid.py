@@ -93,7 +93,7 @@ class LabelMap:
             raise ValidationError(f"class indices must be integers, got dtype {idx.dtype}")
         if idx.size == 0:
             raise ValidationError("index map must contain at least one pixel")
-        if idx.min() < 0 or idx.max() > top:
+        if (idx.dtype.kind == "i" and idx.min() < 0) or idx.max() > top:
             raise ValidationError(f"class indices must lie in [0, {top}], got range [{idx.min()}, {idx.max()}]")
         idx = idx.astype(np.min_scalar_type(top))
         idx.setflags(write=False)

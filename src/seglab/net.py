@@ -25,10 +25,13 @@ straight into the interior of the next layer's padded input.  At 64x64 the
 padded 8-channel input is 279 KB; the 72-row im2col matrix (2.4 MB) lives
 only during forward's GEMM.
 
-Memory ownership: a SegNet holds only its parameters.  Every array forward
-and backward use is allocated by that call, so a later forward never changes
-an earlier cache or its logits, and backward may run on any cache that is
-still current.
+Memory ownership: a SegNet owns one flat parameter vector theta, and each
+layer's kernels and biases are views into it, so set_params is one in-place
+copy that every layer sees.  get_params returns a copy.  Every other array
+forward and backward use is allocated by that call, so a later forward never
+changes an earlier cache or its logits, backward may run on any cache that is
+still current, and each backward returns a new flat gradient, filled layer by
+layer through param_slices.
 
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
@@ -90,12 +93,6 @@ class ConvLayer:
             raise ValidationError(f"biases shape {self.biases.shape} != ({out_ch},)")
 
 
-def _he_layer(rng: np.random.Generator, in_ch: int, out_ch: int, k: int, relu: bool) -> ConvLayer:
-    fan_in = in_ch * k * k
-    kernels = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(out_ch, in_ch, k, k))
-    return ConvLayer(kernels=kernels, biases=np.zeros(out_ch), relu=relu)
-
-
 class SegNet:
     """Three-layer convolutional segmenter over single-channel 2-D images."""
 
@@ -104,27 +101,25 @@ class SegNet:
         self.classes = classes
         self.seed = int(seed)
         self.hidden = int(hidden)
-        self.layers = [
-            _he_layer(rng, 1, hidden, 3, relu=True),
-            _he_layer(rng, hidden, hidden, 3, relu=True),
-            _he_layer(rng, hidden, classes.total, 1, relu=False),
-        ]
         self.params_version = 0
+        shapes = [(hidden, 1, 3, 3), (hidden, hidden, 3, 3), (classes.total, hidden, 1, 1)]
+        self.param_count = sum(int(np.prod(shape)) + shape[0] for shape in shapes)
+        self.theta = np.zeros(self.param_count)
+        self.layers: list[ConvLayer] = []
         self.param_slices: list[tuple[slice, slice]] = []
         offset = 0
-        for layer in self.layers:
-            ks = slice(offset, offset + layer.kernels.size)
-            offset = ks.stop
-            bs = slice(offset, offset + layer.biases.size)
+        for i, shape in enumerate(shapes):
+            ks = slice(offset, offset + int(np.prod(shape)))
+            bs = slice(ks.stop, ks.stop + shape[0])
             offset = bs.stop
+            kernels = self.theta[ks].reshape(shape)
+            kernels[...] = rng.normal(0.0, np.sqrt(2.0 / kernels[0].size), size=shape)
+            self.layers.append(ConvLayer(kernels=kernels, biases=self.theta[bs], relu=i + 1 < len(shapes)))
             self.param_slices.append((ks, bs))
-        self.param_count = offset
 
     def get_params(self) -> np.ndarray:
-        """Flattened copy of all kernels and biases in layer order."""
-        return np.concatenate(
-            [np.concatenate([l.kernels.ravel(), l.biases.ravel()]) for l in self.layers]
-        )
+        """A copy of theta: all kernels and biases in layer order."""
+        return self.theta.copy()
 
     def set_params(self, theta: np.ndarray) -> None:
         theta = np.asarray(theta, dtype=np.float64)
@@ -132,9 +127,7 @@ class SegNet:
             raise ShapeMismatchError(
                 f"parameter vector has shape {theta.shape}, expected ({self.param_count},)"
             )
-        for layer, (ks, bs) in zip(self.layers, self.param_slices):
-            layer.kernels = theta[ks].reshape(layer.kernels.shape).copy()
-            layer.biases = theta[bs].copy()
+        self.theta[...] = theta
         self.params_version += 1
 
 
@@ -264,10 +257,11 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
     if upstream.shape != expected:
         raise ShapeMismatchError(f"upstream gradient shape {upstream.shape} != logits {expected}")
 
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)  # type: ignore[list-item]
+    grad = np.empty(net.param_count)
     for li in reversed(range(len(net.layers))):
         layer = net.layers[li]
         lc = cache.layers[li]
+        ks, bs = net.param_slices[li]
         out_ch, in_ch, k, _ = layer.kernels.shape
         _, height, width = lc.pre.shape
         pad = k // 2
@@ -281,15 +275,15 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
             interior[...] = upstream
         d = d[:, :span]  # the zero junk columns between rows add nothing below
         kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
-        dkernels = np.empty_like(kernels)
+        dkernels = grad[ks].reshape(kernels.shape)
         dx = np.zeros_like(lc.cols)
         for t, o in enumerate(u * wp + v for u in range(k) for v in range(k)):
             dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
             if li > 0:
                 dx[:, o : o + span] += kernels[:, :, t].T @ d
-        grads[li] = (dkernels.reshape(layer.kernels.shape), d.sum(axis=1))
+        d.sum(axis=1, out=grad[bs])
         upstream = dx.reshape(in_ch, height + 2 * pad, wp)[:, pad : pad + height, pad : pad + width]
-    return np.concatenate([np.concatenate([dk.ravel(), db.ravel()]) for dk, db in grads])
+    return grad
 
 
 def save_checkpoint(
@@ -312,7 +306,7 @@ def save_checkpoint(
         "config": config,
         **_HEADER_CONSTANTS,
     }
-    block = net.get_params().astype("<f8").tobytes()
+    block = net.theta.astype("<f8").tobytes()
     return write_atomic(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + block)
 
 

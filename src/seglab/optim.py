@@ -61,12 +61,12 @@ class OptimizerConfig:
 
 
 def default_optimizer_config(kind: str) -> OptimizerConfig:
-    """Reference hyper-parameters: Adam(5e-4, betas 0.99/0.999) or
-    SGD(1e-2, momentum 0.9, weight decay 5e-4)."""
+    """Reference hyper-parameters: the OptimizerConfig defaults (Adam), or SGD
+    at eta 1e-2 with the default momentum and weight decay."""
     if kind == "adam":
-        return OptimizerConfig(kind="adam", eta=5e-4, beta1=0.99, beta2=0.999)
+        return OptimizerConfig()
     if kind == "sgd":
-        return OptimizerConfig(kind="sgd", eta=1e-2, momentum=0.9, weight_decay=5e-4)
+        return OptimizerConfig(kind="sgd", eta=1e-2)
     raise ValidationError(f"unknown optimizer kind {kind!r}")
 
 

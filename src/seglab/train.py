@@ -6,9 +6,14 @@ byte.  A null dataset seed is derived from the run seed.  Artifacts never
 embed absolute paths.  On glibc, ``run_experiment`` keeps freed blocks of up
 to 32 MB in the process heap (see ``_keep_freed_memory``).
 
-Each training step, validation epoch, test pass and gradient-map export runs
-the same checked forward and softmax on raw arrays; only the export wraps its
-gradients in maps.  Validation and testing share one scoring loop.
+A run carries one ``_TrainState`` from epoch to epoch: the configured
+optimizer's state and step count, the plateau scheduler (whose best metric is
+the best validation DSC so far), the best parameters and epoch, the epoch log,
+and the shuffle and augment generators.  ``_train_epoch`` advances it by one
+epoch.  Each training step, validation epoch, test pass and gradient-map
+export runs the same checked forward and softmax on raw arrays; only the
+export wraps its gradients in maps.  Validation and testing share one scoring
+loop.
 
 Artifacts per training run: ``val_dsc.csv`` (header
 ``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +179,58 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+@dataclass(eq=False)
+class _TrainState:
+    """Everything a run carries from one epoch to the next, besides the net."""
+
+    optimizer: MomentumState | AdamState
+    scheduler: SchedulerState  # best_metric is the best validation DSC so far
+    best_params: np.ndarray
+    shuffle_rng: np.random.Generator
+    augment_rng: np.random.Generator
+    steps: int = 0  # optimizer steps taken, Adam's t
+    best_epoch: int | None = None
+    log: RunLog = field(default_factory=list)
+
+
+def _train_epoch(
+    net: SegNet, state: _TrainState, train_set: list[Sample], val_set: list[Sample], cfg: ExperimentConfig
+) -> None:
+    """One epoch: shuffled batches and optimizer steps, then validation, best tracking and the scheduler."""
+    epoch = len(state.log)
+    step_cfg = replace(cfg.optimizer, eta=state.scheduler.current_eta)
+    lcfg = cfg.loss_config()
+    order = state.shuffle_rng.permutation(len(train_set))
+    batch_losses = []
+    for start in range(0, len(order), cfg.batch_size):
+        batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
+        if cfg.augment:
+            batch = [augment(s, int(state.augment_rng.integers(0, 2**63))) for s in batch]
+        results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
+        batch_loss = float(np.mean([value for value, _ in results]))
+        if not np.isfinite(batch_loss):
+            raise TrainingAbortError(f"non-finite training loss {batch_loss} at epoch {epoch}")
+        grad = np.mean([g for _, g in results], axis=0)
+        state.steps += 1
+        # An overflowing step leaves non-finite parameters; the next
+        # training or validation forward reports them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.optimizer.kind == "sgd":
+                theta = sgd_step(net.theta, grad, step_cfg, state.optimizer)
+            else:
+                theta = adam_step(net.theta, grad, step_cfg, state.optimizer, state.steps)
+        net.set_params(theta)
+        batch_losses.append(batch_loss)
+
+    per_class = _score(net, val_set, f"at epoch {epoch}")[0].mean(axis=0)
+    mean_dsc = float(per_class.mean())
+    state.log.append(EpochRecord(epoch, float(np.mean(batch_losses)), tuple(float(v) for v in per_class), mean_dsc, step_cfg.eta))
+    if mean_dsc > state.scheduler.best_metric:
+        state.best_params = net.get_params()
+        state.best_epoch = epoch
+    state.scheduler = scheduler_step(state.scheduler, mean_dsc)
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train, validate, test, and write the run artifacts."""
     if cfg.output_dir is None:
@@ -184,83 +241,36 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     spec, init_seed, shuffle_rng, augment_rng = _streams(cfg)
     train_set, val_set, test_set = generate(spec)
-
     net = SegNet(spec.classes, seed=init_seed)
-    lcfg = cfg.loss_config()
-    momentum_state = MomentumState.fresh(net.param_count)
-    adam_state = AdamState.fresh(net.param_count)
-    scheduler = SchedulerState(patience=SCHEDULER_PATIENCE, current_eta=cfg.optimizer.eta)
-    adam_t = 0
+    state = _TrainState(
+        optimizer=(MomentumState if cfg.optimizer.kind == "sgd" else AdamState).fresh(net.param_count),
+        scheduler=SchedulerState(patience=SCHEDULER_PATIENCE, current_eta=cfg.optimizer.eta),
+        best_params=net.get_params(),
+        shuffle_rng=shuffle_rng,
+        augment_rng=augment_rng,
+    )
+    for _ in range(cfg.epochs):
+        _train_epoch(net, state, train_set, val_set, cfg)
 
-    best_mean = float("-inf")
-    best_params = net.get_params()
-    best_epoch: int | None = None
-    log: RunLog = []
-
-    for epoch in range(cfg.epochs):
-        lr = scheduler.current_eta
-        order = shuffle_rng.permutation(len(train_set))
-        batch_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
-            if cfg.augment:
-                batch = [augment(s, int(augment_rng.integers(0, 2**63))) for s in batch]
-            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
-            batch_loss = float(np.mean([value for value, _ in results]))
-            if not np.isfinite(batch_loss):
-                raise TrainingAbortError(
-                    f"non-finite training loss {batch_loss} at epoch {epoch}"
-                )
-            grad = np.mean([g for _, g in results], axis=0)
-            step_cfg = replace(cfg.optimizer, eta=lr)
-            theta = net.get_params()
-            # An overflowing step leaves non-finite parameters; the next
-            # training or validation forward reports them.
-            with np.errstate(over="ignore", invalid="ignore"):
-                if cfg.optimizer.kind == "sgd":
-                    theta = sgd_step(theta, grad, step_cfg, momentum_state)
-                else:
-                    adam_t += 1
-                    theta = adam_step(theta, grad, step_cfg, adam_state, adam_t)
-            net.set_params(theta)
-            batch_losses.append(batch_loss)
-
-        per_class = _score(net, val_set, f"at epoch {epoch}")[0].mean(axis=0)
-        mean_dsc = float(per_class.mean())
-        log.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(batch_losses)),
-                val_dsc=tuple(float(v) for v in per_class),
-                val_dsc_mean=mean_dsc,
-                lr=lr,
-            )
-        )
-        if mean_dsc > best_mean:
-            best_mean = mean_dsc
-            best_params = net.get_params()
-            best_epoch = epoch
-        scheduler = scheduler_step(scheduler, mean_dsc)
-
-    net.set_params(best_params)
+    net.set_params(state.best_params)
     test_report = _test_metrics(net, test_set, cfg)
 
-    _write_curve_csv(out / "val_dsc.csv", log, spec.classes.count_objects)
+    _write_curve_csv(out / "val_dsc.csv", state.log, spec.classes.count_objects)
     _write_json(out / "test_metrics.json", test_report)
-    best_val = None if best_epoch is None else best_mean
+    best_val = None if state.best_epoch is None else state.scheduler.best_metric
     save_checkpoint(
         out / "best.ckpt",
         net,
-        epoch=-1 if best_epoch is None else best_epoch,
+        epoch=-1 if state.best_epoch is None else state.best_epoch,
         best_val_dsc=best_val,
         config=config_to_dict(cfg, include_output=False),
     )
-    _export_gradient_maps(net, val_set[0], {cfg.loss_kind: cfg.loss_terms}, lcfg, out)
+    _export_gradient_maps(net, val_set[0], {cfg.loss_kind: cfg.loss_terms}, cfg.loss_config(), out)
 
     return RunResult(
         config=cfg,
-        log=log,
-        best_epoch=best_epoch,
+        log=state.log,
+        best_epoch=state.best_epoch,
         best_val_dsc=best_val,
         test_metrics=test_report,
         output_dir=out,

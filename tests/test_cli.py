@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -171,6 +172,18 @@ class TestRunExperiment:
         assert header["best_val_dsc"] == max(curve_means)
         assert header["epoch"] == int(np.argmax(curve_means))
         assert header["config"].get("output_dir") is None
+
+    def test_plateau_halves_the_rate_and_keeps_the_best_epoch(self, tmp_path):
+        # the plateau config of tools/parity_artifacts.py: no epoch beats epoch 0
+        spec = importlib.util.spec_from_file_location("parity_artifacts", PARITY)
+        parity = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(parity)
+        result = run_experiment(config_from_dict(parity.CONFIGS["plateau"] | {"output_dir": str(tmp_path / "run")}))
+        lines = (tmp_path / "run" / "val_dsc.csv").read_text().splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["1e-06"] * 21 + ["5e-07"] * 3
+        _, header = load_checkpoint(tmp_path / "run" / "best.ckpt")
+        assert header["epoch"] == result.best_epoch == 0
+        assert header["best_val_dsc"] == result.log[0].val_dsc_mean == max(rec.val_dsc_mean for rec in result.log)
 
     def test_needs_output_dir(self):
         cfg = config_from_dict(tiny_config())
@@ -475,14 +488,38 @@ class TestBadInput:
             ["train", "--config", "{cfg}", "--out", "{tmp}/file"],
             ["audit", "--config", "{cfg}", "--out", "{tmp}/file"],
             ["generate", "--config", "{cfg}", "--out", "{tmp}/file"],
+            ["train", "--config", "{tmp}/not_utf8.json"],
         ],
-        ids=["missing_checkpoint", "checkpoint_is_directory", "train_out_is_file", "audit_out_is_file", "generate_out_is_file"],
+        ids=[
+            "missing_checkpoint",
+            "checkpoint_is_directory",
+            "train_out_is_file",
+            "audit_out_is_file",
+            "generate_out_is_file",
+            "config_not_utf8",
+        ],
     )
     def test_bad_path_exit_code(self, tmp_path, capsys, argv):
         cfg_path = write_config(tmp_path, tiny_config(epochs=0))
         (tmp_path / "file").write_text("")
+        (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
         assert main([arg.format(tmp=tmp_path, cfg=cfg_path) for arg in argv]) == 2
         self.single_error_line(capsys)
+
+    def test_gradmap_rejects_a_config_with_other_classes(self, tmp_path, capsys):
+        data = tiny_config(epochs=0, dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 32]})
+        assert main(["train", "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "run")]) == 0
+        ckpt = tmp_path / "run" / "best.ckpt"
+        header, block = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["config"]["dataset"] |= {"kind": "acdc_like", "image_size": [48, 48]}
+        ckpt.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + block)
+        capsys.readouterr()
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        line = self.single_error_line(capsys)
+        assert str(ckpt) in line and "2 classes" in line and "has 4" in line
+        assert not (tmp_path / "maps").exists()
 
     def test_integral_floats_and_json_booleans_accepted(self):
         cfg = config_from_dict({"epochs": 2.0, "augment": True, "dataset": {"train": 4.0}})

@@ -295,6 +295,25 @@ class TestParamsAndCheckpoint:
         net.set_params(theta * 2.0)
         assert np.array_equal(net.get_params(), theta * 2.0)
 
+    def test_get_params_returns_a_copy(self):
+        net = make_net(2, seed=14)
+        image = np.random.default_rng(14).uniform(0, 1, (9, 7))
+        theta, logits = net.get_params(), forward(net, image)[0]
+        version = net.params_version
+        params = net.get_params()
+        params += 1.0
+        assert np.array_equal(net.get_params(), theta)
+        assert net.params_version == version
+        assert np.array_equal(forward(net, image)[0], logits)
+
+    def test_set_params_shows_in_every_layer(self):
+        net = make_net(3, seed=15)
+        theta = np.random.default_rng(15).normal(size=net.param_count)
+        net.set_params(theta)
+        for layer, (kslice, bslice) in zip(net.layers, net.param_slices):
+            assert np.array_equal(layer.kernels, theta[kslice].reshape(layer.kernels.shape))
+            assert np.array_equal(layer.biases, theta[bslice])
+
     def test_param_count_matches_architecture(self):
         net = make_net(3)
         expected = (8 * 1 * 9 + 8) + (8 * 8 * 9 + 8) + (4 * 8 + 4)

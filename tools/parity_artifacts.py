@@ -15,9 +15,11 @@ behave alike give outputs equal under ``diff -r``:
 
 The set: 2-epoch acdc_like 48x48 runs at batch 1 with Adam for each of
 ``dice``/``ce``/``mime``/``nm``; a promise_like ``ce``+``dice`` SGD run at
-batch 4 with augment; a zero-epoch ``mime`` run with a 20-sample test split;
-``compare`` over two configs; ``generate``; ``audit`` for two seeds; and
-``gradmap`` from the ``dice`` run's checkpoint.
+batch 4 with augment; a 24-epoch promise_like Adam run whose validation DSC
+never beats epoch 0, so the learning rate halves after epoch 20; a zero-epoch
+``mime`` run with a 20-sample test split; ``compare`` over two configs;
+``generate``; ``audit`` for two seeds; and ``gradmap`` from the ``dice`` run's
+checkpoint.
 """
 from __future__ import annotations
 
@@ -45,6 +47,13 @@ CONFIGS = {
         "augment": True,
         "seed": 12,
     },
+    "plateau": {
+        "dataset": PROMISE | {"image_size": [32, 32], "train": 2, "val": 1, "test": 1},
+        "optimizer": {"kind": "adam", "eta": 1e-6},
+        "epochs": 24,
+        "batch_size": 1,
+        "seed": 3,
+    },
     "zero_epoch": {"dataset": ACDC_48 | {"test": 20}, "loss": {"kind": "mime", "a": 1.5}, "epochs": 0, "seed": 13},
     "compare_a": {"dataset": ACDC_48 | {"train": 6}, "loss": "ce", "epochs": 1, "seed": 14},
     "compare_b": {"dataset": ACDC_48 | {"train": 6}, "loss": "dice", "optimizer": "sgd", "epochs": 1, "seed": 14},
@@ -52,7 +61,7 @@ CONFIGS = {
 
 COMMANDS = [
     *((f"train_{name}", ["train", "--config", f"configs/{name}.json", "--out", f"train_{name}"])
-      for name in ("dice", "ce", "mime", "nm", "promise_sgd", "zero_epoch")),
+      for name in ("dice", "ce", "mime", "nm", "promise_sgd", "plateau", "zero_epoch")),
     ("compare", ["compare", "--configs", "configs/compare_a.json", "configs/compare_b.json", "--out", "compare"]),
     ("generate", ["generate", "--config", "configs/dice.json", "--out", "generate"]),
     ("audit_s3", ["audit", "--seed", "3", "--out", "audit_s3"]),
