@@ -13,8 +13,8 @@ Configuration is a UTF-8 JSON file::
     }
 
 Loss kinds: "ce", "dice", "nm", "mime" (optional "a"/"b", default 1.9/0.1) and
-"combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...].  A "loss" or
-"optimizer" given as a string names its kind.
+"combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...]; only "combined"
+takes "terms".  A "loss" or "optimizer" given as a string names its kind.
 
 Each default is stated once, on a dataclass: top-level keys take the field
 defaults of ``ExperimentConfig``, dataset keys those of ``DatasetSpec`` (apart
@@ -148,11 +148,13 @@ def _loss(value) -> dict:
     """The ExperimentConfig fields of a loss block."""
     loss = _read({"kind": value} if isinstance(value, str) else value, "loss", _LOSS)
     kind = loss.pop("kind", ExperimentConfig.loss_kind)
-    terms = loss.pop("terms", ())
     if kind in LOSS_IDS:
-        terms = ((kind, 1.0),)
+        if "terms" in loss:
+            raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {kind!r}")
+        loss["terms"] = ((kind, 1.0),)
     elif kind != "combined":
         raise ConfigError(f"unknown loss kind {kind!r}")
+    terms = loss.pop("terms", ())
     return {"loss_kind": kind, "loss_terms": terms, **{f"mime_{k}": v for k, v in loss.items()}}
 
 

@@ -13,17 +13,21 @@ Convolution layout: a k x k layer (pad = k // 2) zero-pads its (C, H, W)
 input to rows of width wp = W + 2*pad and flattens each channel.  On that flat
 grid, tap (u, v) of the whole output is one contiguous slice
 [u*wp + v, u*wp + v + span), span = (H - 1)*wp + W: H rows of W entries with
-2*pad junk entries between consecutive rows.  forward copies every tap's
-H x W window into an im2col matrix with rows in (channel, u, v) order and runs
-one GEMM over it.  backward zero-pads the upstream gradient to width wp, so
-its junk entries are zero; each tap's kernel gradient is then one GEMM with
-that tap's slice of the cached input, and each tap's input gradient is added
-back onto the flat grid with one contiguous slice add.  The cache keeps each
-layer's padded, flattened input (x.reshape(C, -1) for a 1x1 layer) and its
+2*pad junk entries between consecutive rows (_tap_layout).  forward runs one
+GEMM (out, C) @ (C, span) per tap and adds the products into one
+(out, H*wp) buffer, whose (out, H, W) interior is the pre-activation; a 1x1
+layer is the one-tap case.  Only the first layer, with one input channel,
+copies its k*k tap windows into a k*k-row im2col matrix and runs one GEMM,
+because per tap its GEMMs would be outer products.  backward zero-pads the
+upstream gradient to width wp, so its junk entries are zero; each tap's kernel
+gradient is then one GEMM with that tap's slice of the cached input, and each
+tap's input gradient is added back onto the flat grid with one contiguous
+slice add.  The cache keeps each layer's padded, flattened input and its
 pre-activation.  forward writes the centered image, and each ReLU output,
-straight into the interior of the next layer's padded input.  At 64x64 the
-padded 8-channel input is 279 KB; the 72-row im2col matrix (2.4 MB) lives
-only during forward's GEMM.
+straight into the interior of the next layer's padded input.  At 64x64 a
+warm forward peaks at about 1.3 MB: the padded 8-channel input is 279 KB, and
+the 8 -> 8 layer adds its 270 KB output buffer and one 270 KB product
+temporary.
 
 Memory ownership: a SegNet owns one flat parameter vector theta, and each
 layer's kernels and biases are views into it, so set_params is one in-place
@@ -31,7 +35,10 @@ copy that every layer sees.  get_params returns a copy.  Every other array
 forward and backward use is allocated by that call, so a later forward never
 changes an earlier cache or its logits, backward may run on any cache that is
 still current, and each backward returns a new flat gradient, filled layer by
-layer through param_slices.
+layer through param_slices.  At 64x64 each 8-channel array is above glibc's
+default 128 KB mmap threshold, so the engine's entry points keep freed blocks
+in the heap (train._keep_freed_memory) rather than map and fault them in again
+on every call.
 
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
@@ -134,7 +141,7 @@ class SegNet:
 @dataclass(eq=False)
 class _LayerCache:
     cols: np.ndarray  # input zero-padded by k // 2 and flattened, (in_ch, (H + 2*pad) * (W + 2*pad))
-    pre: np.ndarray  # pre-activation, (out_ch, H, W)
+    pre: np.ndarray  # pre-activation, (out_ch, H, W); for a tap layer a view of its (out_ch, H * wp) buffer
 
 
 @dataclass(eq=False)
@@ -154,26 +161,38 @@ def _padded_input(layer: ConvLayer, channels: int, height: int, width: int) -> t
     return grid, grid[:, pad : pad + height, pad : pad + width]
 
 
+def _tap_layout(k: int, height: int, width: int) -> tuple[int, int, list[int]]:
+    """Row width wp of a k x k layer's padded flat grid, the span of one tap slice, and each tap's offset u*wp + v."""
+    wp = width + 2 * (k // 2)
+    return wp, (height - 1) * wp + width, [u * wp + v for u in range(k) for v in range(k)]
+
+
 def _conv_forward(layer: ConvLayer, grid: np.ndarray) -> np.ndarray:
-    """Pre-activation of a layer over its zero-padded input grid; freshly allocated."""
+    """Pre-activation (out_ch, H, W) of a layer over its zero-padded input grid; freshly allocated."""
     out_ch, in_ch, k, _ = layer.kernels.shape
     height, width = grid.shape[1] - k + 1, grid.shape[2] - k + 1
-    if k == 1:
-        cols = grid.reshape(in_ch, -1)
-    else:
-        # A GEMM straight over the tap slices of the flat grid would save these
-        # copies, but OpenBLAS picks its kernels by matrix shape, and on some
-        # small images the extra junk columns change the last bits of the
-        # logits.  H*W columns keep forward's GEMM, and so its logits,
-        # layout-free.
-        cols = np.empty((in_ch, k, k, height, width))
+    if in_ch == 1 and k > 1:
+        # As taps, each GEMM would be a K=1 outer product; one GEMM over k*k rows is far faster.
+        cols = np.empty((k, k, height, width))
         for u in range(k):
             for v in range(k):
-                cols[:, u, v] = grid[:, u : u + height, v : v + width]
-        cols = cols.reshape(-1, height * width)
-    pre = layer.kernels.reshape(out_ch, -1) @ cols
-    pre += layer.biases[:, None]
-    return pre.reshape(out_ch, height, width)
+                cols[u, v] = grid[0, u : u + height, v : v + width]
+        pre = (layer.kernels.reshape(out_ch, -1) @ cols.reshape(k * k, -1)).reshape(out_ch, height, width)
+    else:
+        wp, span, offsets = _tap_layout(k, height, width)
+        flat = grid.reshape(in_ch, -1)
+        taps = layer.kernels.transpose(2, 3, 0, 1).reshape(k * k, out_ch, in_ch)
+        buf = np.empty((out_ch, height * wp))
+        acc = buf[:, :span]
+        np.matmul(taps[0], flat[:, :span], out=acc)
+        if k > 1:
+            product = np.empty((out_ch, span))
+            for tap, o in zip(taps[1:], offsets[1:]):
+                np.matmul(tap, flat[:, o : o + span], out=product)
+                acc += product
+        pre = buf.reshape(out_ch, height, wp)[:, :, :width]
+    pre += layer.biases[:, None, None]
+    return pre
 
 
 def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -265,8 +284,7 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
         out_ch, in_ch, k, _ = layer.kernels.shape
         _, height, width = lc.pre.shape
         pad = k // 2
-        wp = width + 2 * pad
-        span = (height - 1) * wp + width
+        wp, span, offsets = _tap_layout(k, height, width)
         d = np.zeros((out_ch, height * wp))
         interior = d.reshape(out_ch, height, wp)[:, :, :width]
         if layer.relu:
@@ -277,7 +295,7 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
         kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
         dkernels = grad[ks].reshape(kernels.shape)
         dx = np.zeros_like(lc.cols)
-        for t, o in enumerate(u * wp + v for u in range(k) for v in range(k)):
+        for t, o in enumerate(offsets):
             dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
             if li > 0:
                 dx[:, o : o + span] += kernels[:, :, t].T @ d
