@@ -38,9 +38,7 @@ from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
 from .synthdata import export_dataset, generate
-from .train import (
-    EpochRecord, RunResult, _export_gradient_maps, _keep_freed_memory, _streams, run_comparison, run_experiment,
-)
+from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
 
 __all__ = [
     "ExperimentConfig",
@@ -91,13 +89,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     Relative error is taken over every loss in AUDIT_TERM_SETS on random
     instances; the dice-specific audits run on those instances and on the
     probabilities a freshly initialized net assigns to one dataset sample.
-    Like ``run_experiment``, it first keeps freed blocks in the process heap
-    (``train._keep_freed_memory``): forward's freed 270-300 KB conv buffers
-    would otherwise leave glibc's mmap threshold just above them, and the
-    larger arrays the losses build from the finite-difference probe stacks
-    would be mapped and faulted in afresh on every call.
     """
-    _keep_freed_memory()
     rng = np.random.default_rng(cfg.seed)
     lcfg = cfg.loss_config()
     max_err = 0.0

@@ -13,8 +13,9 @@ Configuration is a UTF-8 JSON file::
     }
 
 Loss kinds: "ce", "dice", "nm", "mime" (optional "a"/"b", default 1.9/0.1) and
-"combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...]; only "combined"
-takes "terms".  A "loss" or "optimizer" given as a string names its kind.
+"combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...], whose weights
+must be positive; only "combined" takes "terms".  A "loss" or "optimizer"
+given as a string names its kind.
 
 Each default is stated once, on a dataclass: top-level keys take the field
 defaults of ``ExperimentConfig``, dataset keys those of ``DatasetSpec`` (apart
@@ -62,6 +63,8 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be >= 0, got {self.seed}")
         _checked_terms(self.loss_terms)
+        if not all(lam > 0 for _, lam in self.loss_terms):
+            raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.loss_terms)}")
         if any(lid == "nm" for lid, _ in self.loss_terms) and self.dataset.classes.count_objects < 2:
             raise ConfigError(
                 "nm loss requires a multi-class dataset (K >= 2); on binary tasks it "

@@ -2,12 +2,15 @@
 
 Architecture: Conv3x3(1 -> 8) + ReLU, Conv3x3(8 -> 8) + ReLU,
 Conv1x1(8 -> |classes|), all with same-size zero padding so the pixel grid
-never changes.  The input image is centered (x - 0.5) before the first layer:
-intensities live in [0, 1], and feeding all-positive patches into ReLU stacks
-makes half the units dead on arrival and unit death nearly absorbing.  The
-parameter vector theta concatenates every layer's kernels then biases, in
-layer order.  Kernels are He-normal initialized from a seeded generator;
-biases start at zero.  The ReLU subgradient at 0 is 0.
+never changes.  _layer_shapes states it once, as one (out_ch, in_ch, k) row
+per layer over HIDDEN = 8 channels; SegNet builds its layers from that table
+and load_checkpoint checks a header's param_count against it.  Every layer but
+the 1x1 head is followed by a ReLU.  The input image is centered (x - 0.5)
+before the first layer: intensities live in [0, 1], and feeding all-positive
+patches into ReLU stacks makes half the units dead on arrival and unit death
+nearly absorbing.  The parameter vector theta concatenates every layer's
+kernels then biases, in layer order.  Kernels are He-normal initialized from a
+seeded generator; biases start at zero.  The ReLU subgradient at 0 is 0.
 
 Convolution layout: a k x k layer (pad = k // 2) zero-pads its (C, H, W)
 input to rows of width wp = W + 2*pad and flattens each channel.  On that flat
@@ -36,9 +39,9 @@ forward and backward use is allocated by that call, so a later forward never
 changes an earlier cache or its logits, backward may run on any cache that is
 still current, and each backward returns a new flat gradient, filled layer by
 layer through param_slices.  At 64x64 each 8-channel array is above glibc's
-default 128 KB mmap threshold, so the engine's entry points keep freed blocks
-in the heap (train._keep_freed_memory) rather than map and fault them in again
-on every call.
+default 128 KB mmap threshold, so SegNet.__init__ keeps freed blocks in the
+process heap (_keep_freed_memory) rather than let every forward map and fault
+them in again; every path that runs forward builds a net first.
 
 Checkpoint format (single file):
   line 1   UTF-8 JSON header terminated by '\\n' with keys
@@ -48,6 +51,7 @@ Checkpoint format (single file):
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from dataclasses import dataclass
@@ -73,55 +77,83 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "seglab-checkpoint-v1"
 
-_HEADER_INT_MIN = {"param_count": 1, "classes_total": 2, "hidden_channels": 1, "seed": 0}
+# Channels of the two hidden layers.
+HIDDEN = 8
+
+_HEADER_INT_MIN = {"param_count": 1, "classes_total": 2, "seed": 0}
 # Header fields that have one valid value: the block is little-endian float64
-# and the net reads single-channel images.
-_HEADER_CONSTANTS = {"dtype": "<f8", "in_channels": 1}
+# and the net reads single-channel images through HIDDEN-channel layers.
+_HEADER_CONSTANTS = {"dtype": "<f8", "in_channels": 1, "hidden_channels": HIDDEN}
 
 # Subtracted from input images before the first convolution.
 INPUT_CENTER = 0.5
 
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Stop glibc from handing freed conv and probe buffers back to the kernel.
+
+    At 64x64 forward and backward allocate and free a few dozen arrays of
+    130-300 KB, each above glibc's default 128 KB mmap threshold.  With the
+    adaptive defaults, a freed mapped block raises the mmap threshold only to
+    its own size, and whether a free trims the heap top depends on the heap
+    layout, so a process may fault that memory back in on every call.  Without
+    this call a warm 64x64 forward took 0-373 minor faults, as the layout fell,
+    and a 128x128 one about 1,190; 2 acdc_like epochs (500 train, 50 val,
+    20 test) took 759k, and a warm audit 9.8k.  With it, they took 0, 0, 6.3k
+    and 3.  Serving blocks up to 32 MB from the heap and trimming only past
+    128 MB of free top space keeps the memory mapped.  A no-op without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+def _layer_shapes(classes_total: int) -> list[tuple[int, int, int]]:
+    """(out_ch, in_ch, k) of each k x k layer, input first: the whole architecture."""
+    return [(HIDDEN, 1, 3), (HIDDEN, HIDDEN, 3), (classes_total, HIDDEN, 1)]
+
+
+def _param_count(classes_total: int) -> int:
+    return sum(out_ch * (in_ch * k * k + 1) for out_ch, in_ch, k in _layer_shapes(classes_total))
+
 
 @dataclass(eq=False)
 class ConvLayer:
-    """Same-padded 2-D convolution with an optional ReLU."""
+    """Same-padded 2-D convolution; views into the net's theta."""
 
-    kernels: np.ndarray  # (out_ch, in_ch, kh, kw)
+    kernels: np.ndarray  # (out_ch, in_ch, k, k)
     biases: np.ndarray  # (out_ch,)
-    relu: bool
-
-    def __post_init__(self) -> None:
-        if self.kernels.ndim != 4:
-            raise ValidationError(f"kernels must be 4-D, got shape {self.kernels.shape}")
-        out_ch, _, kh, kw = self.kernels.shape
-        if kh != kw or kh % 2 == 0:
-            raise ValidationError(f"kernels must be square with an odd side for same padding, got {kh}x{kw}")
-        if self.biases.shape != (out_ch,):
-            raise ValidationError(f"biases shape {self.biases.shape} != ({out_ch},)")
 
 
 class SegNet:
     """Three-layer convolutional segmenter over single-channel 2-D images."""
 
-    def __init__(self, classes: ClassSet, seed: int, hidden: int = 8):
+    def __init__(self, classes: ClassSet, seed: int):
+        _keep_freed_memory()
         rng = np.random.default_rng(seed)
         self.classes = classes
         self.seed = int(seed)
-        self.hidden = int(hidden)
         self.params_version = 0
-        shapes = [(hidden, 1, 3, 3), (hidden, hidden, 3, 3), (classes.total, hidden, 1, 1)]
-        self.param_count = sum(int(np.prod(shape)) + shape[0] for shape in shapes)
+        self.param_count = _param_count(classes.total)
         self.theta = np.zeros(self.param_count)
         self.layers: list[ConvLayer] = []
         self.param_slices: list[tuple[slice, slice]] = []
         offset = 0
-        for i, shape in enumerate(shapes):
-            ks = slice(offset, offset + int(np.prod(shape)))
-            bs = slice(ks.stop, ks.stop + shape[0])
+        for out_ch, in_ch, k in _layer_shapes(classes.total):
+            ks = slice(offset, offset + out_ch * in_ch * k * k)
+            bs = slice(ks.stop, ks.stop + out_ch)
             offset = bs.stop
-            kernels = self.theta[ks].reshape(shape)
-            kernels[...] = rng.normal(0.0, np.sqrt(2.0 / kernels[0].size), size=shape)
-            self.layers.append(ConvLayer(kernels=kernels, biases=self.theta[bs], relu=i + 1 < len(shapes)))
+            kernels = self.theta[ks].reshape(out_ch, in_ch, k, k)
+            kernels[...] = rng.normal(0.0, np.sqrt(2.0 / kernels[0].size), size=kernels.shape)
+            self.layers.append(ConvLayer(kernels=kernels, biases=self.theta[bs]))
             self.param_slices.append((ks, bs))
 
     def get_params(self) -> np.ndarray:
@@ -140,7 +172,7 @@ class SegNet:
 
 @dataclass(eq=False)
 class _LayerCache:
-    cols: np.ndarray  # input zero-padded by k // 2 and flattened, (in_ch, (H + 2*pad) * (W + 2*pad))
+    padded: np.ndarray  # input zero-padded by k // 2 and flattened, (in_ch, (H + 2*pad) * (W + 2*pad))
     pre: np.ndarray  # pre-activation, (out_ch, H, W); for a tap layer a view of its (out_ch, H * wp) buffer
 
 
@@ -151,11 +183,9 @@ class ForwardCache:
     layers: list[_LayerCache]
 
 
-def _padded_input(layer: ConvLayer, channels: int, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _padded_input(layer: ConvLayer, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """A fresh zero grid for the layer's input, (in_ch, H + 2*pad, W + 2*pad), and its interior view."""
     in_ch, k = layer.kernels.shape[1], layer.kernels.shape[2]
-    if channels != in_ch:
-        raise ShapeMismatchError(f"layer expects {in_ch} input channels, got {channels}")
     pad = k // 2
     grid = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
     return grid, grid[:, pad : pad + height, pad : pad + width]
@@ -204,22 +234,17 @@ def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     if image.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D single-channel image, got shape {image.shape}")
     height, width = image.shape
-    grid, interior = _padded_input(net.layers[0], 1, height, width)
+    grid, interior = _padded_input(net.layers[0], height, width)
     np.subtract(image, INPUT_CENTER, out=interior[0])
     caches = []
     for i, layer in enumerate(net.layers):
         pre = _conv_forward(layer, grid)
-        caches.append(_LayerCache(cols=grid.reshape(grid.shape[0], -1), pre=pre))
-        if i + 1 == len(net.layers):
-            logits = np.maximum(pre, 0.0) if layer.relu else pre
-        else:
-            # Each activation is written straight into the next layer's padded input.
-            grid, interior = _padded_input(net.layers[i + 1], pre.shape[0], height, width)
-            if layer.relu:
-                np.maximum(pre, 0.0, out=interior)
-            else:
-                interior[...] = pre
-    return logits, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
+        caches.append(_LayerCache(padded=grid.reshape(grid.shape[0], -1), pre=pre))
+        if i + 1 < len(net.layers):
+            # Each ReLU output is written straight into the next layer's padded input.
+            grid, interior = _padded_input(net.layers[i + 1], height, width)
+            np.maximum(pre, 0.0, out=interior)
+    return pre, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -287,16 +312,16 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
         wp, span, offsets = _tap_layout(k, height, width)
         d = np.zeros((out_ch, height * wp))
         interior = d.reshape(out_ch, height, wp)[:, :, :width]
-        if layer.relu:
-            np.multiply(upstream, lc.pre > 0.0, out=interior)
+        if li + 1 < len(net.layers):
+            np.multiply(upstream, lc.pre > 0.0, out=interior)  # through the ReLU
         else:
             interior[...] = upstream
         d = d[:, :span]  # the zero junk columns between rows add nothing below
         kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
         dkernels = grad[ks].reshape(kernels.shape)
-        dx = np.zeros_like(lc.cols)
+        dx = np.zeros_like(lc.padded)
         for t, o in enumerate(offsets):
-            dkernels[:, :, t] = d @ lc.cols[:, o : o + span].T
+            dkernels[:, :, t] = d @ lc.padded[:, o : o + span].T
             if li > 0:
                 dx[:, o : o + span] += kernels[:, :, t].T @ d
         d.sum(axis=1, out=grad[bs])
@@ -315,7 +340,6 @@ def save_checkpoint(
     """Write the documented JSON-header + float64-block checkpoint file."""
     header = {
         "format": CHECKPOINT_FORMAT,
-        "hidden_channels": net.hidden,
         "classes_total": net.classes.total,
         "seed": net.seed,
         "epoch": int(epoch),
@@ -332,10 +356,10 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
     """Rebuild a SegNet from a checkpoint file; returns (net, header).
 
     A malformed header, a dtype other than "<f8", an in_channels other than 1,
-    a param_count other than the one hidden_channels and classes_total imply,
-    or a parameter block of any other length raises ValidationError before the
-    block is read or a net is built; a block holding a non-finite value raises
-    it before a net is built.
+    a hidden_channels other than HIDDEN, a param_count other than the one
+    classes_total implies, or a parameter block of any other length raises
+    ValidationError before the block is read or a net is built; a block
+    holding a non-finite value raises it before a net is built.
     """
     with open(path, "rb") as f:
         try:
@@ -352,13 +376,12 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
             value = header.get(key)
             if type(value) is not type(want) or value != want:
                 raise ValidationError(f"{path}: checkpoint {key} must be {want!r}, not {value!r}")
-        hidden, total = header["hidden_channels"], header["classes_total"]
-        # (k*k*in + 1) * out per layer: 3x3 1 -> h, 3x3 h -> h, 1x1 h -> K.
-        implied = (9 + 1) * hidden + (9 * hidden + 1) * hidden + (hidden + 1) * total
+        total = header["classes_total"]
+        implied = _param_count(total)
         if header["param_count"] != implied:
             raise ValidationError(
                 f"{path}: checkpoint param_count {header['param_count']} does not match the {implied} "
-                f"parameters of hidden_channels {hidden} and classes_total {total}"
+                f"parameters of classes_total {total}"
             )
         size = implied * 8
         if os.fstat(f.fileno()).st_size - f.tell() != size:
@@ -366,6 +389,6 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
         params = np.frombuffer(f.read(size), dtype="<f8")
     if not np.isfinite(params).all():
         raise ValidationError(f"{path}: checkpoint parameters must be finite")
-    net = SegNet(ClassSet(total - 1), seed=header["seed"], hidden=hidden)
+    net = SegNet(ClassSet(total - 1), seed=header["seed"])
     net.set_params(params)
     return net, header

@@ -11,6 +11,9 @@ of classes is separated by at least 0.3.
 promise_like (K = 1): a single axis-aligned ellipse at 0.7 over a 0.25
 background.
 
+Each family is one row of ``_FAMILIES``: its mask drawer, its intensities and
+the least image side it generates at (48 and 24).
+
 Gaussian intensity noise (labels stay clean) is added and values clamped to
 [0, 1].  Geometry is sampled in proportion to the grid, so on square images
 the disk covers 1.8 - 4.5 % of the pixels, the annulus 2 - 8 %, and the
@@ -52,7 +55,6 @@ __all__ = [
     "PROMISE_INTENSITIES",
 ]
 
-DATASET_KINDS = ("acdc_like", "promise_like")
 SPLIT_NAMES = ("train", "val", "test")
 
 ACDC_INTENSITIES = {0: 0.2, 1: 0.65, 2: 0.5, 3: 0.8}
@@ -72,7 +74,7 @@ class DatasetSpec:
     seed: int | None = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in DATASET_KINDS:
+        if self.kind not in _FAMILIES:
             raise ValidationError(f"unknown dataset kind {self.kind!r}")
         size = tuple(int(d) for d in self.image_size)
         if len(size) != 2 or any(d < 1 for d in size):
@@ -87,7 +89,7 @@ class DatasetSpec:
 
     @property
     def classes(self) -> ClassSet:
-        return ClassSet(3 if self.kind == "acdc_like" else 1)
+        return ClassSet(len(_FAMILIES[self.kind][1]) - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,15 +145,18 @@ def _promise_masks(rng: np.random.Generator, height: int, width: int) -> list[np
     return [ellipse]
 
 
+# kind -> (mask drawer for classes 1..K, intensity of each class 0..K, least image side)
+_FAMILIES = {
+    "acdc_like": (_acdc_masks, ACDC_INTENSITIES, 48),
+    "promise_like": (_promise_masks, PROMISE_INTENSITIES, 24),
+}
+
+
 def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) -> Sample:
     height, width = spec.image_size
-    intensities = ACDC_INTENSITIES if spec.kind == "acdc_like" else PROMISE_INTENSITIES
+    draw_masks, intensities, _ = _FAMILIES[spec.kind]
     for _ in range(MAX_GEOMETRY_RETRIES):
-        masks = (
-            _acdc_masks(rng, height, width)
-            if spec.kind == "acdc_like"
-            else _promise_masks(rng, height, width)
-        )
+        masks = draw_masks(rng, height, width)
         if all(mask.any() for mask in masks):
             break
     else:
@@ -172,11 +177,9 @@ def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample
     """Build the train/val/test splits, fully determined by spec.seed."""
     if spec.seed is None:
         raise ValidationError("dataset seed must be set before generation")
-    min_dim = min(spec.image_size)
-    if spec.kind == "acdc_like" and min_dim < 48:
-        raise ValidationError(f"acdc_like needs images of at least 48x48, got {spec.image_size}")
-    if spec.kind == "promise_like" and min_dim < 24:
-        raise ValidationError(f"promise_like needs images of at least 24x24, got {spec.image_size}")
+    least = _FAMILIES[spec.kind][2]
+    if min(spec.image_size) < least:
+        raise ValidationError(f"{spec.kind} needs images of at least {least}x{least}, got {spec.image_size}")
 
     children = np.random.SeedSequence(spec.seed).spawn(len(SPLIT_NAMES))
     splits = []

@@ -3,9 +3,7 @@
 One run seed drives four independent streams (dataset, weight init, batch
 shuffling, augmentation), so a fixed config reproduces every artifact byte for
 byte.  A null dataset seed is derived from the run seed.  Artifacts never
-embed absolute paths.  On glibc, ``run_experiment`` (and ``cli.run_audit``)
-first keep freed blocks of up to 32 MB in the process heap (see
-``_keep_freed_memory``).
+embed absolute paths.
 
 A run carries one ``_TrainState`` from epoch to epoch: the configured
 optimizer's state and step count, the plateau scheduler (whose best metric is
@@ -23,7 +21,6 @@ the first validation sample at the best parameters.
 """
 from __future__ import annotations
 
-import ctypes
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -42,9 +39,6 @@ from .optim import AdamState, MomentumState, SchedulerState, adam_step, schedule
 from .synthdata import DatasetSpec, Sample, augment, generate
 
 __all__ = ["EpochRecord", "RunResult", "run_experiment", "run_comparison"]
-
-SCHEDULER_PATIENCE = 20
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -155,36 +149,6 @@ def _write_json(path: Path, payload: dict) -> None:
     write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
-# mallopt parameter numbers from glibc's malloc.h.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Stop glibc from handing freed conv and probe buffers back to the kernel.
-
-    At 64x64 a training step allocates and frees a few dozen arrays of
-    130-300 KB, each above glibc's default 128 KB mmap threshold.  With the
-    adaptive defaults, a freed mapped block raises the mmap threshold only to
-    its own size, and whether a free trims the heap top depends on the heap
-    layout, so a process may fault that memory back in on every call: 759k
-    minor faults over 2 acdc_like epochs (500 train, 50 val, 20 test) without
-    this call, against 6.3k with it.  Both engine entry points call it first:
-    ``run_experiment``, and ``cli.run_audit``, whose loss arrays over the
-    finite-difference probe stacks would otherwise be mapped afresh on each
-    call once forward's freed conv buffers have left the threshold near
-    300 KB (9.8k faults per warm call, against 3).  Serving blocks up to 32 MB
-    from the heap and trimming only past 128 MB of free top space keeps the
-    memory mapped.  A no-op without mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
-
-
 @dataclass(eq=False)
 class _TrainState:
     """Everything a run carries from one epoch to the next, besides the net."""
@@ -241,7 +205,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train, validate, test, and write the run artifacts."""
     if cfg.output_dir is None:
         raise ConfigError("run_experiment needs an output_dir")
-    _keep_freed_memory()
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -250,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     net = SegNet(spec.classes, seed=init_seed)
     state = _TrainState(
         optimizer=(MomentumState if cfg.optimizer.kind == "sgd" else AdamState).fresh(net.param_count),
-        scheduler=SchedulerState(patience=SCHEDULER_PATIENCE, current_eta=cfg.optimizer.eta),
+        scheduler=SchedulerState(current_eta=cfg.optimizer.eta),
         best_params=net.get_params(),
         shuffle_rng=shuffle_rng,
         augment_rng=augment_rng,

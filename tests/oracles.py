@@ -189,7 +189,7 @@ def im2col_forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, list[tup
     """
     x = np.asarray(image, dtype=np.float64)[None] - INPUT_CENTER
     caches = []
-    for layer in net.layers:
+    for li, layer in enumerate(net.layers):
         out_ch, in_ch, kh, kw = layer.kernels.shape
         _, height, width = x.shape
         pad = kh // 2
@@ -198,7 +198,7 @@ def im2col_forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, list[tup
         cols = windows.transpose(0, 3, 4, 1, 2).reshape(in_ch * kh * kw, height * width)
         pre = (layer.kernels.reshape(out_ch, -1) @ cols + layer.biases[:, None]).reshape(out_ch, height, width)
         caches.append((cols, pre))
-        x = np.maximum(pre, 0.0) if layer.relu else pre
+        x = np.maximum(pre, 0.0) if li + 1 < len(net.layers) else pre  # a ReLU after all but the head
     return x, caches
 
 
@@ -209,7 +209,7 @@ def im2col_backward(net: SegNet, caches: list[tuple[np.ndarray, np.ndarray]], dL
     for li in reversed(range(len(net.layers))):
         layer = net.layers[li]
         cols, pre = caches[li]
-        if layer.relu:
+        if li + 1 < len(net.layers):
             upstream = upstream * (pre > 0.0)
         out_ch, in_ch, kh, kw = layer.kernels.shape
         _, height, width = pre.shape

@@ -257,6 +257,26 @@ class TestHotPath:
             tracemalloc.stop()
         assert peak < 3.0e6
 
+    @pytest.mark.skipif(not has_mallopt(), reason="the heap setting needs glibc's mallopt")
+    def test_warm_forward_keeps_its_memory_mapped(self):
+        # 0 faults with the heap setting SegNet applies.  Without it, 128x128 faults
+        # about 1,190 times; at 64x64 the count (0 to 442) depends on the heap layout.
+        script = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from seglab.grid import ClassSet\n"
+            "from seglab.net import SegNet, forward\n"
+            "net = SegNet(ClassSet(3), seed=0)\n"
+            "image = np.random.default_rng(0).uniform(0, 1, (128, 128))\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    forward(net, image)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = os.environ | {"PYTHONPATH": str(Path(seglab.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+        assert int(done.stdout) < 50
+
 
 class TestDeterminism:
     def test_train_twice_is_byte_identical(self, tmp_path):
@@ -469,6 +489,8 @@ class TestBadInput:
             ({"loss": {"kind": "combined", "terms": [["dice", "nan"]]}}, "terms"),
             ({"loss": {"kind": "combined", "terms": [["dice", float("nan")]]}}, "terms"),
             ({"loss": {"kind": "dice", "terms": [["ce", 1.0]]}}, "terms"),
+            ({"loss": {"kind": "combined", "terms": [["dice", -1.0]]}}, "terms"),
+            ({"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.0]]}}, "terms"),
             ({"optimizer": {"kind": "adam", "lam": float("inf")}}, "lam"),
             ({"optimizer": {"kind": "adam", "eta": "nan"}}, "eta"),
             ({"optimizer": {"kind": "sgd", "lam": -1.0, "weight_decay": -5.0}}, "lam"),
@@ -493,6 +515,8 @@ class TestBadInput:
             "term_weight_nan_string",
             "term_weight_nan",
             "terms_on_single_loss",
+            "term_weight_negative",
+            "term_weight_zero",
             "lam_infinity",
             "eta_nan_string",
             "sgd_gradient_ascent",
@@ -655,7 +679,17 @@ class TestBadInput:
         assert main(["gradmap", *args]) == 2
         self.single_error_line(capsys)
 
-    @pytest.mark.parametrize("change", [{"dtype": ">f4"}, {"in_channels": 3}], ids=["dtype", "in_channels"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"dtype": ">f4"},
+            {"in_channels": 3},
+            # A size no machine can allocate: the header check rejects it before a net is built.
+            {"hidden_channels": 10**6},
+            {"hidden_channels": 10**6, "param_count": 9_000_013_000_002},
+        ],
+        ids=["dtype", "in_channels", "hidden_channels", "consistent_hidden_channels"],
+    )
     def test_checkpoint_header_constant_exit_code(self, tmp_path, capsys, change):
         ckpt = save_checkpoint(tmp_path / "net.ckpt", SegNet(ClassSet(3), seed=0), epoch=0)
         header, block = ckpt.read_bytes().split(b"\n", 1)
@@ -668,13 +702,8 @@ class TestBadInput:
         "change",
         # Sizes no machine can allocate: without the header check, reading the
         # block or building the net fails at once instead of filling memory.
-        [
-            {"param_count": 10**18},
-            {"hidden_channels": 10**6},
-            {"classes_total": 10**12},
-            {"hidden_channels": 10**6, "param_count": 9_000_013_000_002},
-        ],
-        ids=["param_count", "hidden_channels", "classes_total", "consistent_hidden_channels"],
+        [{"param_count": 10**18}, {"classes_total": 10**12}],
+        ids=["param_count", "classes_total"],
     )
     def test_oversized_checkpoint_header_exit_code(self, tmp_path, capsys, change):
         ckpt = save_checkpoint(tmp_path / "net.ckpt", SegNet(ClassSet(1), seed=0), epoch=0)

@@ -10,7 +10,6 @@ from seglab.errors import SegLabError, ShapeMismatchError, StaleCacheError, Vali
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import LossConfig, combined_loss
 from seglab.net import (
-    ConvLayer,
     SegNet,
     backward,
     forward,
@@ -72,11 +71,6 @@ class TestForward:
         net = make_net()
         with pytest.raises(ShapeMismatchError):
             forward(net, np.zeros((2, 3, 4)))
-
-    @pytest.mark.parametrize("shape", [(8, 8, 3, 1), (8, 8, 1, 3), (8, 8, 2, 2)])
-    def test_non_square_or_even_kernel_rejected(self, shape):
-        with pytest.raises(ValidationError):
-            ConvLayer(kernels=np.zeros(shape), biases=np.zeros(8), relu=True)
 
     def test_deterministic_given_seed_and_image(self):
         img = np.random.default_rng(3).uniform(0, 1, (8, 8))
@@ -173,7 +167,7 @@ class TestBackward:
         net = make_net(1)
         image = np.array([[0.63]])
         logits, cache = forward(net, image)
-        head_input = cache.layers[2].cols.reshape(-1)  # (hidden,)
+        head_input = cache.layers[2].padded.reshape(-1)  # (hidden,)
         upstream = np.zeros_like(logits)
         upstream[1, 0, 0] = 2.5
         grad = backward(net, cache, upstream)
@@ -301,7 +295,7 @@ class TestAgainstIm2col:
         # at 64x64 the im2col columns of the three layers took 2.9 MB
         net = make_net(3)
         _, cache = forward(net, np.random.default_rng(22).uniform(0, 1, (64, 64)))
-        assert sum(lc.cols.nbytes for lc in cache.layers) < 1 << 20
+        assert sum(lc.padded.nbytes for lc in cache.layers) < 1 << 20
 
 
 class TestParamsAndCheckpoint:
@@ -390,8 +384,9 @@ class TestParamsAndCheckpoint:
             {"in_channels": 3},
             {"in_channels": True},
             {"in_channels": 1.0},
+            {"hidden_channels": 16},
         ],
-        ids=["big_endian_f4", "f4", "no_dtype", "three_channels", "bool_channels", "float_channels"],
+        ids=["big_endian_f4", "f4", "no_dtype", "three_channels", "bool_channels", "float_channels", "hidden_16"],
     )
     def test_header_constants_enforced(self, tmp_path, change):
         path = save_checkpoint(tmp_path / "net.ckpt", make_net(), epoch=0)

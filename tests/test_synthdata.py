@@ -61,6 +61,23 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             generate(DatasetSpec(kind="promise_like", image_size=(16, 16), seed=0))
 
+    @pytest.mark.parametrize(
+        "kind, size, fits",
+        [
+            ("acdc_like", (47, 64), False),
+            ("acdc_like", (48, 48), True),
+            ("promise_like", (23, 40), False),
+            ("promise_like", (24, 24), True),
+        ],
+    )
+    def test_least_image_side_per_kind(self, kind, size, fits):
+        spec = DatasetSpec(kind=kind, image_size=size, train=1, val=1, test=1, seed=0)
+        if fits:
+            assert generate(spec)[0][0].image.shape == size
+        else:
+            with pytest.raises(ValidationError, match=rf"{kind}.*\({size[0]}, {size[1]}\)"):
+                generate(spec)
+
     def test_unseeded_spec_cannot_generate(self):
         with pytest.raises(ValidationError):
             generate(DatasetSpec(seed=None))
