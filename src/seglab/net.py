@@ -12,25 +12,38 @@ nearly absorbing.  The parameter vector theta concatenates every layer's
 kernels then biases, in layer order.  Kernels are He-normal initialized from a
 seeded generator; biases start at zero.  The ReLU subgradient at 0 is 0.
 
-Convolution layout: a k x k layer (pad = k // 2) zero-pads its (C, H, W)
-input to rows of width wp = W + 2*pad and flattens each channel.  On that flat
-grid, tap (u, v) of the whole output is one contiguous slice
+Convolution layout: every layer reads one zero-bordered flat grid per image
+shape.  A (C, H, W) activation lives in a (C, (H + 2) * wp) grid, wp = W + 2,
+whose rows 0 and H + 1 and columns 0 and wp - 1 are zero.  On that grid, tap
+(u, v) of a 3x3 layer's whole output is one contiguous slice
 [u*wp + v, u*wp + v + span), span = (H - 1)*wp + W: H rows of W entries with
-2*pad junk entries between consecutive rows (_tap_layout).  forward runs one
-GEMM (out, C) @ (C, span) per tap and adds the products into one
-(out, H*wp) buffer, whose (out, H, W) interior is the pre-activation; a 1x1
-layer is the one-tap case.  Only the first layer, with one input channel,
-copies its k*k tap windows into a k*k-row im2col matrix and runs one GEMM,
-because per tap its GEMMs would be outer products.  backward zero-pads the
-upstream gradient to width wp, so its junk entries are zero; each tap's kernel
-gradient is then one GEMM with that tap's slice of the cached input, and each
-tap's input gradient is added back onto the flat grid with one contiguous
-slice add.  The cache keeps each layer's padded, flattened input and its
-pre-activation.  forward writes the centered image, and each ReLU output,
-straight into the interior of the next layer's padded input.  At 64x64 a
-warm forward peaks at about 1.3 MB: the padded 8-channel input is 279 KB, and
-the 8 -> 8 layer adds its 270 KB output buffer and one 270 KB product
-temporary.
+two junk entries between consecutive rows (_tap_layout).  Output entry j lands
+on grid entry j + wp + 1, so a layer's output is the window
+[wp + 1, wp + 1 + span) of the next grid, and its two junk entries per row
+fall exactly on that grid's left and right pad columns.  The 8 -> 8 layer runs
+one GEMM (out, C) @ (C, span) per tap and adds the products straight into that
+window (_tap_conv); each hidden layer then adds its bias and applies its ReLU
+in place on the window, and zeroing the pad rows and columns finishes the next
+grid (_zero_border).  The 1 -> 8 layer, with one input channel, stacks its 9
+tap slices into one (9, span) tap-row matrix and runs one GEMM, because per
+tap its GEMMs would be outer products.  The 1x1 head reads the last grid's
+window with one GEMM.  The cache holds each layer's input as its GEMM reads
+it: the tap-row matrix and the two 8-channel grids, with the image's (H, W).
+
+backward keeps each layer's output gradient in the same window layout, zero
+in its junk entries: the head's in a (classes, H*wp) buffer, the 8 -> 8
+layer's in the window of a zero-bordered gradient grid.  A ReLU mask is read
+from the next grid's window, since relu(x) > 0 exactly where x > 0, and its
+zero pad columns zero the junk entries.  Each tap's kernel gradient is one
+GEMM of that gradient with the tap's slice of the cached input; the 1 -> 8
+layer's is one GEMM with its tap-row matrix.  The 8 -> 8 layer's input
+gradient at window entry j sums kernel tap t times the gradient grid at
+j + 2*(wp + 1) - o_t, and 2*(wp + 1) - (u*wp + v) = (2 - u)*wp + (2 - v) is the
+offset of tap (2 - u, 2 - v).  So it is the forward tap routine run over the
+gradient grid with the kernel flipped and its channel axes swapped.  At 64x64
+a warm forward peaks at about 1.17 MB: the 304 KB tap-row matrix, two 279 KB
+grids and one 270 KB product temporary.  A warm dice training step peaks at
+about 2.2 MB.
 
 Memory ownership: a SegNet owns one flat parameter vector theta, and each
 layer's kernels and biases are views into it, so set_params is one in-place
@@ -38,8 +51,8 @@ copy that every layer sees.  get_params returns a copy.  Every other array
 forward and backward use is allocated by that call, so a later forward never
 changes an earlier cache or its logits, backward may run on any cache that is
 still current, and each backward returns a new flat gradient, filled layer by
-layer through param_slices.  At 64x64 each 8-channel array is above glibc's
-default 128 KB mmap threshold, so SegNet.__init__ keeps freed blocks in the
+layer through param_slices.  At 64x64 each 8-channel array, such as a 279 KB
+grid, is above glibc's default 128 KB mmap threshold, so SegNet.__init__ keeps freed blocks in the
 process heap (_keep_freed_memory) rather than let every forward map and fault
 them in again; every path that runs forward builds a net first.
 
@@ -171,80 +184,84 @@ class SegNet:
 
 
 @dataclass(eq=False)
-class _LayerCache:
-    padded: np.ndarray  # input zero-padded by k // 2 and flattened, (in_ch, (H + 2*pad) * (W + 2*pad))
-    pre: np.ndarray  # pre-activation, (out_ch, H, W); for a tap layer a view of its (out_ch, H * wp) buffer
-
-
-@dataclass(eq=False)
 class ForwardCache:
     net_id: int
     params_version: int
-    layers: list[_LayerCache]
+    dims: tuple[int, int]  # (H, W) of the image
+    # Each layer's input as its GEMM reads it: the 1 -> 8 layer's (9, span)
+    # tap-row matrix, then the two (HIDDEN, (H + 2) * (W + 2)) grids.
+    inputs: list[np.ndarray]
 
 
-def _padded_input(layer: ConvLayer, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh zero grid for the layer's input, (in_ch, H + 2*pad, W + 2*pad), and its interior view."""
-    in_ch, k = layer.kernels.shape[1], layer.kernels.shape[2]
-    pad = k // 2
-    grid = np.zeros((in_ch, height + 2 * pad, width + 2 * pad))
-    return grid, grid[:, pad : pad + height, pad : pad + width]
+def _tap_layout(height: int, width: int) -> tuple[int, int, list[int]]:
+    """Row width wp of a padded flat grid, the span of one tap slice, and each 3x3 tap's offset u*wp + v."""
+    wp = width + 2
+    return wp, (height - 1) * wp + width, [u * wp + v for u in range(3) for v in range(3)]
 
 
-def _tap_layout(k: int, height: int, width: int) -> tuple[int, int, list[int]]:
-    """Row width wp of a k x k layer's padded flat grid, the span of one tap slice, and each tap's offset u*wp + v."""
-    wp = width + 2 * (k // 2)
-    return wp, (height - 1) * wp + width, [u * wp + v for u in range(k) for v in range(k)]
+def _taps(kernels: np.ndarray) -> np.ndarray:
+    """(out, in, 3, 3) kernels as 9 (out, in) tap matrices in (u, v) order."""
+    return kernels.transpose(2, 3, 0, 1).reshape(9, *kernels.shape[:2])
 
 
-def _conv_forward(layer: ConvLayer, grid: np.ndarray) -> np.ndarray:
-    """Pre-activation (out_ch, H, W) of a layer over its zero-padded input grid; freshly allocated."""
-    out_ch, in_ch, k, _ = layer.kernels.shape
-    height, width = grid.shape[1] - k + 1, grid.shape[2] - k + 1
-    if in_ch == 1 and k > 1:
-        # As taps, each GEMM would be a K=1 outer product; one GEMM over k*k rows is far faster.
-        cols = np.empty((k, k, height, width))
-        for u in range(k):
-            for v in range(k):
-                cols[u, v] = grid[0, u : u + height, v : v + width]
-        pre = (layer.kernels.reshape(out_ch, -1) @ cols.reshape(k * k, -1)).reshape(out_ch, height, width)
-    else:
-        wp, span, offsets = _tap_layout(k, height, width)
-        flat = grid.reshape(in_ch, -1)
-        taps = layer.kernels.transpose(2, 3, 0, 1).reshape(k * k, out_ch, in_ch)
-        buf = np.empty((out_ch, height * wp))
-        acc = buf[:, :span]
-        np.matmul(taps[0], flat[:, :span], out=acc)
-        if k > 1:
-            product = np.empty((out_ch, span))
-            for tap, o in zip(taps[1:], offsets[1:]):
-                np.matmul(tap, flat[:, o : o + span], out=product)
-                acc += product
-        pre = buf.reshape(out_ch, height, wp)[:, :, :width]
-    pre += layer.biases[:, None, None]
-    return pre
+def _tap_conv(taps: np.ndarray, offsets: list[int], grid: np.ndarray, out: np.ndarray) -> None:
+    """out = sum over t of taps[t] @ grid[:, offsets[t] : offsets[t] + span], span = out.shape[1]."""
+    span = out.shape[1]
+    np.matmul(taps[0], grid[:, offsets[0] : offsets[0] + span], out=out)
+    product = np.empty(out.shape)
+    for tap, o in zip(taps[1:], offsets[1:]):
+        np.matmul(tap, grid[:, o : o + span], out=product)
+        out += product
+
+
+def _zero_border(grid: np.ndarray, wp: int) -> None:
+    """Zero the pad rows and pad columns of a (C, (H + 2) * wp) flat grid."""
+    rows = grid.reshape(grid.shape[0], -1, wp)
+    rows[:, 0] = 0.0
+    rows[:, -1] = 0.0
+    rows[:, :, 0] = 0.0
+    rows[:, :, -1] = 0.0
+
+
+def _finish_hidden(out: np.ndarray, biases: np.ndarray, wp: int, window: slice) -> None:
+    """Finish a hidden layer's output grid whose window holds the conv sums: bias, ReLU, zero border."""
+    pre = out[:, window]
+    pre += biases[:, None]
+    np.maximum(pre, 0.0, out=pre)
+    _zero_border(out, wp)
 
 
 def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run the net on a single-channel image; returns (logits, cache).
 
-    Logits have shape (classes.total, H, W); the cache feeds backward().
+    Logits have shape (classes.total, H, W); the cache feeds backward().  An
+    image with no pixels raises ShapeMismatchError.
     """
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D single-channel image, got shape {image.shape}")
+    if image.ndim != 2 or image.size == 0:
+        raise ShapeMismatchError(f"expected a non-empty 2-D single-channel image, got shape {image.shape}")
     height, width = image.shape
-    grid, interior = _padded_input(net.layers[0], height, width)
-    np.subtract(image, INPUT_CENTER, out=interior[0])
-    caches = []
-    for i, layer in enumerate(net.layers):
-        pre = _conv_forward(layer, grid)
-        caches.append(_LayerCache(padded=grid.reshape(grid.shape[0], -1), pre=pre))
-        if i + 1 < len(net.layers):
-            # Each ReLU output is written straight into the next layer's padded input.
-            grid, interior = _padded_input(net.layers[i + 1], height, width)
-            np.maximum(pre, 0.0, out=interior)
-    return pre, ForwardCache(net_id=id(net), params_version=net.params_version, layers=caches)
+    wp, span, offsets = _tap_layout(height, width)
+    window = slice(wp + 1, wp + 1 + span)
+    size = (height + 2) * wp
+    first, middle, head = net.layers
+    grid = np.zeros((height + 2, wp))
+    np.subtract(image, INPUT_CENTER, out=grid[1:-1, 1:-1])
+    # With one input channel, per-tap GEMMs would be outer products: stack the taps into one GEMM.
+    cols = np.stack([grid.reshape(-1)[o : o + span] for o in offsets])
+    grid1 = np.empty((HIDDEN, size))
+    np.matmul(first.kernels.reshape(HIDDEN, 9), cols, out=grid1[:, window])
+    _finish_hidden(grid1, first.biases, wp, window)
+    grid2 = np.empty((HIDDEN, size))
+    _tap_conv(_taps(middle.kernels), offsets, grid1, grid2[:, window])
+    _finish_hidden(grid2, middle.biases, wp, window)
+    total = head.biases.size
+    buf = np.empty((total, height * wp))
+    pre = buf[:, :span]
+    np.matmul(head.kernels.reshape(total, HIDDEN), grid2[:, window], out=pre)
+    pre += head.biases[:, None]
+    logits = buf.reshape(total, height, wp)[:, :, :width].copy()
+    return logits, ForwardCache(id(net), net.params_version, (height, width), [cols, grid1, grid2])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -297,35 +314,45 @@ def backward(net: SegNet, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
             f"(version {cache.params_version} vs {net.params_version})"
         )
     upstream = np.asarray(dL_dz, dtype=np.float64)
-    expected = cache.layers[-1].pre.shape
-    if upstream.shape != expected:
-        raise ShapeMismatchError(f"upstream gradient shape {upstream.shape} != logits {expected}")
-
+    height, width = cache.dims
+    total = net.classes.total
+    if upstream.shape != (total, height, width):
+        raise ShapeMismatchError(f"upstream gradient shape {upstream.shape} != logits {(total, height, width)}")
+    wp, span, offsets = _tap_layout(height, width)
+    window = slice(wp + 1, wp + 1 + span)
+    cols, grid1, grid2 = cache.inputs
+    _, middle, head = net.layers
+    (k0, b0), (k1, b1), (k2, b2) = net.param_slices
     grad = np.empty(net.param_count)
-    for li in reversed(range(len(net.layers))):
-        layer = net.layers[li]
-        lc = cache.layers[li]
-        ks, bs = net.param_slices[li]
-        out_ch, in_ch, k, _ = layer.kernels.shape
-        _, height, width = lc.pre.shape
-        pad = k // 2
-        wp, span, offsets = _tap_layout(k, height, width)
-        d = np.zeros((out_ch, height * wp))
-        interior = d.reshape(out_ch, height, wp)[:, :, :width]
-        if li + 1 < len(net.layers):
-            np.multiply(upstream, lc.pre > 0.0, out=interior)  # through the ReLU
-        else:
-            interior[...] = upstream
-        d = d[:, :span]  # the zero junk columns between rows add nothing below
-        kernels = layer.kernels.reshape(out_ch, in_ch, k * k)
-        dkernels = grad[ks].reshape(kernels.shape)
-        dx = np.zeros_like(lc.padded)
-        for t, o in enumerate(offsets):
-            dkernels[:, :, t] = d @ lc.padded[:, o : o + span].T
-            if li > 0:
-                dx[:, o : o + span] += kernels[:, :, t].T @ d
-        d.sum(axis=1, out=grad[bs])
-        upstream = dx.reshape(in_ch, height + 2 * pad, wp)[:, pad : pad + height, pad : pad + width]
+
+    # The head: the upstream gradient on the window layout, zero in its junk entries.
+    dz = np.empty((total, height * wp))
+    rows = dz.reshape(total, height, wp)
+    rows[:, :, :width] = upstream
+    rows[:, :, width:] = 0.0
+    dz = dz[:, :span]
+    np.matmul(dz, grid2[:, window].T, out=grad[k2].reshape(total, HIDDEN))
+    dz.sum(axis=1, out=grad[b2])
+
+    # The 8 -> 8 layer: its output gradient in the window of a zero-bordered grid.
+    dgrid = np.empty(grid2.shape)
+    d = dgrid[:, window]
+    np.matmul(head.kernels.reshape(total, HIDDEN).T, dz, out=d)
+    d *= grid2[:, window] > 0.0  # through the ReLU; the junk entries read zero pad columns
+    _zero_border(dgrid, wp)
+    dkernels = grad[k1].reshape(HIDDEN, HIDDEN, 9)
+    for t, o in enumerate(offsets):
+        dkernels[:, :, t] = d @ grid1[:, o : o + span].T
+    d.sum(axis=1, out=grad[b1])
+    # Its input gradient is the forward tap routine with the kernel flipped and
+    # its channel axes swapped: output j reads dgrid at 2*(wp + 1) - o_t = o_flip(t).
+    d = np.empty((HIDDEN, span))
+    _tap_conv(_taps(middle.kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), offsets, dgrid, d)
+    d *= grid1[:, window] > 0.0
+
+    # The 1 -> 8 layer: one GEMM with its cached tap rows.
+    np.matmul(d, cols.T, out=grad[k0].reshape(HIDDEN, 9))
+    d.sum(axis=1, out=grad[b0])
     return grad
 
 

@@ -89,7 +89,7 @@ def test_criterion_1_gradient_oracle_suite():
         net.set_params(theta)
         logits, cache = forward(net, image)
         value = combined_loss(terms, labels, softmax(logits), cfg)[0]
-        masks = [lc.pre > 0.0 for lc in cache.layers[:-1]]
+        masks = [grid > 0.0 for grid in cache.inputs[1:]]  # each hidden layer's ReLU output grid
         return value, masks
 
     for terms in LOSS_TERM_SETS.values():

@@ -72,14 +72,19 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             forward(net, np.zeros((2, 3, 4)))
 
+    @pytest.mark.parametrize("dims", [(0, 5), (5, 0)])
+    def test_empty_image_rejected(self, dims):
+        with pytest.raises(ShapeMismatchError):
+            forward(make_net(), np.zeros(dims))
+
     def test_deterministic_given_seed_and_image(self):
         img = np.random.default_rng(3).uniform(0, 1, (8, 8))
         a, _ = forward(make_net(seed=42), img)
         b, _ = forward(make_net(seed=42), img)
         assert np.array_equal(a, b)
 
-    def test_warm_forward_allocates_under_1_6_mb(self):
-        # 1.32 MB; the 72-row im2col matrix of the 8 -> 8 layer alone took 2.4 MB
+    def test_warm_forward_allocates_under_1_3_mb(self):
+        # 1.17 MB: the cached tap rows, two 8-channel grids and one tap product
         net = make_net(3)
         image = np.random.default_rng(24).uniform(0, 1, (64, 64))
         forward(net, image)
@@ -89,7 +94,24 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6e6
+        assert peak < 1.3e6
+
+    @pytest.mark.parametrize("dims", [(1, 1), (1, 7), (7, 1), (5, 9), (48, 64)])
+    def test_cached_grids_have_zero_pad_rows_and_columns(self, dims):
+        # positive biases make every junk entry of a layer's output window
+        # positive before its pad columns are zeroed
+        net = make_net(2, seed=3)
+        theta = net.get_params()
+        for _, bias_slice in net.param_slices:
+            theta[bias_slice] = 1.0
+        net.set_params(theta)
+        _, cache = forward(net, np.random.default_rng(25).uniform(0, 1, dims))
+        height, width = dims
+        for grid in cache.inputs[1:]:
+            rows = grid.reshape(-1, height + 2, width + 2)
+            assert not rows[:, [0, -1], :].any()
+            assert not rows[:, :, [0, -1]].any()
+            assert (rows[:, 1:-1, 1:-1] > 0.0).any()
 
 
 class TestSoftmax:
@@ -167,7 +189,7 @@ class TestBackward:
         net = make_net(1)
         image = np.array([[0.63]])
         logits, cache = forward(net, image)
-        head_input = cache.layers[2].padded.reshape(-1)  # (hidden,)
+        head_input = cache.inputs[2].reshape(-1, 3, 3)[:, 1, 1]  # (hidden,), inside the zero border
         upstream = np.zeros_like(logits)
         upstream[1, 0, 0] = 2.5
         grad = backward(net, cache, upstream)
@@ -188,7 +210,8 @@ class TestBackward:
         dh2 = (w3.T @ upstream.reshape(upstream.shape[0], -1)).reshape(
             -1, *logits.shape[1:]
         )
-        mask = cache.layers[1].pre > 0
+        # relu(x) > 0 exactly where x > 0, so the head's input grid holds layer 1's mask
+        mask = cache.inputs[2].reshape(-1, 8, 8)[:, 1:-1, 1:-1] > 0
         expected_dz2 = dh2 * mask
         assert (expected_dz2[~mask] == 0.0).all()
         # and the full backward agrees with finite differences, kinks included
@@ -200,6 +223,15 @@ class TestBackward:
         net.set_params(net.get_params() * 1.01)
         with pytest.raises(StaleCacheError):
             backward(net, cache, np.zeros_like(logits))
+
+    def test_upstream_of_the_wrong_shape_rejected(self):
+        net = make_net(2)
+        logits, cache = forward(net, np.random.default_rng(26).uniform(0, 1, (5, 9)))
+        backward(net, cache, np.zeros_like(logits))
+        # the transposed grid has the same padded size, (9 + 2) * (5 + 2)
+        for shape in [(3, 9, 5), (4, 5, 9), (2, 5, 9), (3, 45)]:
+            with pytest.raises(ShapeMismatchError):
+                backward(net, cache, np.zeros(shape))
 
     def test_cache_from_other_net_rejected(self):
         net_a, net_b = make_net(seed=1), make_net(seed=1)
@@ -283,7 +315,12 @@ class TestAgainstIm2col:
         logits, cache = forward(net, image)
         ref_logits, ref_caches = im2col_forward(net, image)
         # the 1 -> 8 layer runs the oracle's im2col GEMM; later layers sum their taps in another order
-        assert np.array_equal(cache.layers[0].pre, ref_caches[0][1])
+        height, width = dims
+        tap_rows = np.zeros((9, height * (width + 2)))
+        tap_rows[:, : cache.inputs[0].shape[1]] = cache.inputs[0]
+        assert np.array_equal(tap_rows.reshape(9, height, width + 2)[:, :, :width].reshape(9, -1), ref_caches[0][0])
+        layer0 = cache.inputs[1].reshape(-1, height + 2, width + 2)[:, 1:-1, 1:-1]
+        assert np.array_equal(layer0, np.maximum(ref_caches[0][1], 0.0))
         np.testing.assert_allclose(logits, ref_logits, rtol=1e-13, atol=1e-13 * np.abs(ref_logits).max())
         upstream = rng.normal(0, 1, logits.shape)
         grad = backward(net, cache, upstream)
@@ -292,10 +329,11 @@ class TestAgainstIm2col:
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-13, atol=1e-13 * np.abs(ref_grad).max())
 
     def test_cached_layer_inputs_are_padded_grids_not_im2col_columns(self):
-        # at 64x64 the im2col columns of the three layers took 2.9 MB
+        # 862 KB at 64x64: the 1 -> 8 layer's 9 tap rows and two 8-channel
+        # grids; the im2col columns of the three layers took 2.9 MB
         net = make_net(3)
         _, cache = forward(net, np.random.default_rng(22).uniform(0, 1, (64, 64)))
-        assert sum(lc.padded.nbytes for lc in cache.layers) < 1 << 20
+        assert sum(x.nbytes for x in cache.inputs) < 1 << 20
 
 
 class TestParamsAndCheckpoint:

@@ -55,17 +55,13 @@ class TestSpecValidation:
         assert DatasetSpec(kind="acdc_like").classes.count_objects == 3
         assert DatasetSpec(kind="promise_like").classes.count_objects == 1
 
-    def test_minimum_image_sizes(self):
-        with pytest.raises(ValidationError):
-            generate(DatasetSpec(kind="acdc_like", image_size=(32, 32), seed=0))
-        with pytest.raises(ValidationError):
-            generate(DatasetSpec(kind="promise_like", image_size=(16, 16), seed=0))
-
     @pytest.mark.parametrize(
         "kind, size, fits",
         [
+            ("acdc_like", (32, 32), False),
             ("acdc_like", (47, 64), False),
             ("acdc_like", (48, 48), True),
+            ("promise_like", (16, 16), False),
             ("promise_like", (23, 40), False),
             ("promise_like", (24, 24), True),
         ],
