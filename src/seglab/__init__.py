@@ -64,7 +64,7 @@ from .optim import (
     scheduler_step,
     sgd_step,
 )
-from .synthdata import DatasetSpec, Sample, augment, export_dataset, generate
+from .synthdata import DatasetSpec, Sample, augment, export_dataset, generate, generate_split
 from .metrics import argmax_dsc, argmax_predict, clece, clece_report, dsc, evaluate_sample
 
 __version__ = "0.1.0"

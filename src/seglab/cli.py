@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
-from .synthdata import export_dataset, generate
+from .synthdata import export_dataset, generate, generate_split
 from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
 
 __all__ = [
@@ -109,9 +108,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
                 )
 
     spec, init_seed, _, _ = _streams(cfg)
-    spec = replace(spec, train=1, val=1, test=1)
-    _, val_set, _ = generate(spec)
-    sample = val_set[0]
+    sample = next(generate_split(spec, "val"))
     net = SegNet(spec.classes, seed=init_seed)
     logits, _ = forward(net, sample.image)
     probs = softmax(logits)

@@ -18,7 +18,11 @@ Gaussian intensity noise (labels stay clean) is added and values clamped to
 [0, 1].  Geometry is sampled in proportion to the grid, so on square images
 the disk covers 1.8 - 4.5 % of the pixels, the annulus 2 - 8 %, and the
 crescent 1 - 5.5 %.  Generation is fully determined by the spec seed; the
-three splits draw from independent child seeds.
+three splits draw from independent child seeds.  ``generate_split`` yields
+one split's samples in order from its child seed, so a caller can stream one
+split (the training engine streams the test split); ``generate`` lists all
+three.  A split's seed, least image side and name are checked at its first
+draw, and a sample whose geometry cannot be drawn raises when it is reached.
 
 A ``Sample`` holds its image (float64) and its ground truth as a
 ``LabelMap``: a class-index map in the smallest unsigned dtype that fits
@@ -37,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -48,6 +53,7 @@ __all__ = [
     "DatasetSpec",
     "Sample",
     "generate",
+    "generate_split",
     "augment",
     "flip_rotate",
     "export_dataset",
@@ -173,22 +179,27 @@ def _make_sample(spec: DatasetSpec, rng: np.random.Generator, sample_id: str) ->
     return Sample(image, LabelMap(idx, spec.classes), sample_id)
 
 
-def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:
-    """Build the train/val/test splits, fully determined by spec.seed."""
+def generate_split(spec: DatasetSpec, split: str) -> Iterator[Sample]:
+    """Yield one split's samples in order, fully determined by spec.seed;
+    the spec and split are checked at the first draw."""
+    if split not in SPLIT_NAMES:
+        raise ValidationError(f"unknown split {split!r}, expected one of {SPLIT_NAMES}")
     if spec.seed is None:
         raise ValidationError("dataset seed must be set before generation")
     least = _FAMILIES[spec.kind][2]
     if min(spec.image_size) < least:
         raise ValidationError(f"{spec.kind} needs images of at least {least}x{least}, got {spec.image_size}")
 
-    children = np.random.SeedSequence(spec.seed).spawn(len(SPLIT_NAMES))
-    splits = []
-    for split, count, child in zip(SPLIT_NAMES, (spec.train, spec.val, spec.test), children):
-        rng = np.random.default_rng(child)
-        splits.append(
-            [_make_sample(spec, rng, f"{spec.kind}-{split}-{i:04d}") for i in range(count)]
-        )
-    return splits[0], splits[1], splits[2]
+    child = np.random.SeedSequence(spec.seed).spawn(len(SPLIT_NAMES))[SPLIT_NAMES.index(split)]
+    rng = np.random.default_rng(child)
+    for i in range(getattr(spec, split)):
+        yield _make_sample(spec, rng, f"{spec.kind}-{split}-{i:04d}")
+
+
+def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:
+    """Build the train/val/test splits, fully determined by spec.seed."""
+    train, val, test = (list(generate_split(spec, split)) for split in SPLIT_NAMES)
+    return train, val, test
 
 
 def flip_rotate(arr: np.ndarray, hflip: bool, vflip: bool, quarter_turns: int) -> np.ndarray:

@@ -14,6 +14,12 @@ export runs the same checked forward and softmax on raw arrays; only the
 export wraps its gradients in maps.  Validation and testing share one scoring
 loop.
 
+The train and validation splits are drawn as lists before training.  The test
+split is streamed: scored as it is drawn after training, so a run holds one
+test sample at a time.  The dataset's size and seed checks still run before
+training, at the first draw; a test sample whose geometry cannot be drawn now
+raises after training.
+
 Artifacts per training run: ``val_dsc.csv`` (header
 ``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
 (best-validation parameters), and ``gradmap_<loss>_k<k>.pfm`` gradient maps of
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .losses import LossConfig, _combined
 from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
 from .net import ForwardCache, SegNet, _softmax, _softmax_backward, backward, forward, save_checkpoint
 from .optim import AdamState, MomentumState, SchedulerState, adam_step, scheduler_step, sgd_step
-from .synthdata import DatasetSpec, Sample, augment, generate
+from .synthdata import DatasetSpec, Sample, augment, generate_split
 
 __all__ = ["EpochRecord", "RunResult", "run_experiment", "run_comparison"]
 
@@ -98,7 +105,7 @@ def _sample_loss_grad(
     return float(value), backward(net, cache, grad_z)
 
 
-def _score(net: SegNet, samples: list[Sample], when: str, calibration: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _score(net: SegNet, samples: Iterable[Sample], when: str, calibration: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample object-class DSC rows and, with calibration, ClECE rows."""
     dsc_rows, clece_rows = [], []
     for sample in samples:
@@ -109,12 +116,12 @@ def _score(net: SegNet, samples: list[Sample], when: str, calibration: bool = Fa
     return np.array(dsc_rows), np.array(clece_rows)
 
 
-def _test_metrics(net: SegNet, samples: list[Sample], cfg: ExperimentConfig) -> dict:
+def _test_metrics(net: SegNet, samples: Iterable[Sample], cfg: ExperimentConfig) -> dict:
     dice, calibration = _score(net, samples, "in testing", calibration=True)
     return {
         "loss": cfg.loss_kind,
         "optimizer": cfg.optimizer.kind,
-        "n_test": len(samples),
+        "n_test": len(dice),
         "per_class_dsc_mean": [float(v) for v in dice.mean(axis=0)],
         "per_class_dsc_std": [float(v) for v in dice.std(axis=0)],
         "per_class_clece_mean": [float(v) for v in calibration.mean(axis=0)],
@@ -209,7 +216,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     out.mkdir(parents=True, exist_ok=True)
 
     spec, init_seed, shuffle_rng, augment_rng = _streams(cfg)
-    train_set, val_set, test_set = generate(spec)
+    train_set, val_set = (list(generate_split(spec, split)) for split in ("train", "val"))
     net = SegNet(spec.classes, seed=init_seed)
     state = _TrainState(
         optimizer=(MomentumState if cfg.optimizer.kind == "sgd" else AdamState).fresh(net.param_count),
@@ -222,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         _train_epoch(net, state, train_set, val_set, cfg)
 
     net.set_params(state.best_params)
-    test_report = _test_metrics(net, test_set, cfg)
+    test_report = _test_metrics(net, generate_split(spec, "test"), cfg)
 
     _write_curve_csv(out / "val_dsc.csv", state.log, spec.classes.count_objects)
     _write_json(out / "test_metrics.json", test_report)

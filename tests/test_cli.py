@@ -180,6 +180,23 @@ class TestRunExperiment:
         for k in range(4):
             assert (tmp_path / "run" / f"gradmap_dice_k{k}.pfm").exists()
 
+    def test_zero_epoch_run_holds_one_test_sample_at_a_time(self, tmp_path):
+        # A 64x64 sample holds about 37 KB, so a run holding its whole test split
+        # peaks about 1.4 MB higher at 40 test samples than at 2.
+        def peak(test: int) -> int:
+            dataset = {**TINY_DATASET, "image_size": [64, 64], "train": 1, "val": 1, "test": test}
+            cfg = config_from_dict(tiny_config(epochs=0, dataset=dataset, output_dir=str(tmp_path / f"run{test}")))
+            tracemalloc.start()
+            try:
+                result = run_experiment(cfg)
+                assert result.test_metrics["n_test"] == test
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # warm-up
+        assert peak(40) - peak(2) <= 0.3e6
+
     def test_curve_and_checkpoint_invariants(self, tmp_path):
         cfg = config_from_dict(tiny_config(epochs=3, output_dir=str(tmp_path / "run")))
         result = run_experiment(cfg)

@@ -18,6 +18,7 @@ from seglab.synthdata import (
     export_dataset,
     flip_rotate,
     generate,
+    generate_split,
 )
 
 from .oracles import one_hot, synthetic_sample_mgrid
@@ -87,6 +88,28 @@ class TestGenerate:
             assert a.id == b.id
             assert np.array_equal(a.image, b.image)
             assert np.array_equal(a.label.values, b.label.values)
+
+    def test_generate_lists_each_split_of_generate_split(self):
+        for split, samples in zip(("train", "val", "test"), generate(SMALL)):
+            streamed = list(generate_split(SMALL, split))
+            assert [s.id for s in streamed] == [s.id for s in samples]
+            for a, b in zip(streamed, samples):
+                assert np.array_equal(a.image, b.image)
+                assert np.array_equal(a.label.indices, b.label.indices)
+
+    @pytest.mark.parametrize(
+        "spec, split",
+        [
+            (DatasetSpec(kind="acdc_like", image_size=(32, 32), seed=0), "train"),
+            (DatasetSpec(seed=None), "test"),
+            (SMALL, "holdout"),
+        ],
+        ids=["too-small", "unseeded", "unknown-split"],
+    )
+    def test_bad_spec_raises_at_the_first_draw(self, spec, split):
+        draws = generate_split(spec, split)
+        with pytest.raises(ValidationError):
+            next(draws)
 
     def test_different_seeds_differ(self):
         a, _, _ = generate(SMALL)
