@@ -36,7 +36,7 @@ from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
-from .synthdata import export_dataset, generate, generate_split
+from .synthdata import export_dataset, generate, generate_split, split_of
 from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
 
 __all__ = [
@@ -139,7 +139,11 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
 
 
 def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> list[Path]:
-    """Export one PFM per class for every loss at the checkpoint parameters."""
+    """Export one PFM per class for every loss at the checkpoint parameters.
+
+    Only the split the sample id names (``synthdata.split_of``) is drawn,
+    and only up to the sample.
+    """
     net, header = load_checkpoint(checkpoint)
     if not header.get("config"):
         raise ConfigError(f"checkpoint {checkpoint} does not embed its experiment config")
@@ -149,8 +153,9 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
             f"checkpoint {checkpoint} has {net.classes.total} classes, "
             f"but its config's dataset has {cfg.dataset.classes.total}"
         )
-    splits = generate(_streams(cfg)[0])
-    sample = next((s for split in splits for s in split if s.id == sample_id), None)
+    spec = _streams(cfg)[0]
+    split = split_of(spec, sample_id)
+    sample = None if split is None else next((s for s in generate_split(spec, split) if s.id == sample_id), None)
     if sample is None:
         raise ConfigError(f"sample id {sample_id!r} not found in the configured dataset")
     out = Path(out_dir)

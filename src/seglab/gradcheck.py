@@ -63,21 +63,23 @@ def finite_diff_grad(
     the +h probes, then the -h probes, of consecutive coordinates, and has at
     most PROBE_BLOCK elements unless one coordinate's pair alone is larger.
     Probes may leave [0, 1] by h; s +/- h must stay within the PROB_SLACK band
-    that ProbabilityMap accepts.  A non-finite or wrongly shaped result raises
-    OracleError naming the coordinate.
+    that ProbabilityMap accepts.  That is checked as min(s) - h and max(s) + h,
+    which equal the extremes of s - h and s + h because rounding is monotone.
+    A non-finite or wrongly shaped result raises OracleError naming the
+    coordinate.
     """
     if not h > 0:
         raise ValidationError(f"step size must be positive, got {h}")
     shape = s.values.shape
     flat = s.values.reshape(-1)
-    if (flat - h).min() < -PROB_SLACK or (flat + h).max() > 1.0 + PROB_SLACK:
+    if flat.min() - h < -PROB_SLACK or flat.max() + h > 1.0 + PROB_SLACK:
         raise ValidationError(f"probes s +/- {h:g} leave [0, 1] by more than {PROB_SLACK:g}")
     coords = max(1, PROBE_BLOCK // (2 * flat.size))
     grad = np.empty(flat.size)
     for start in range(0, flat.size, coords):
         idx = np.arange(start, min(start + coords, flat.size))
         n = idx.size
-        probes = np.tile(flat, (2 * n, 1))
+        probes = np.repeat(flat[None], 2 * n, axis=0)
         probes[np.arange(n), idx] = flat[idx] + h
         probes[np.arange(n, 2 * n), idx] = flat[idx] - h
         values = np.asarray(loss_fn(probes.reshape(2 * n, *shape)), dtype=np.float64)
@@ -87,9 +89,8 @@ def finite_diff_grad(
                 f"coordinate {_coord(start, shape)}; expected ({2 * n},)"
             )
         hi, lo = values[:n], values[n:]
-        bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
-        if bad.size:
-            j = bad[0]
+        if not np.isfinite(values).all():
+            j = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
             raise OracleError(f"loss not finite at probe {_coord(idx[j], shape)}: {hi[j]}, {lo[j]}")
         grad[idx] = (hi - lo) / (2.0 * h)
     return GradientMap(s.shape, s.classes, grad.reshape(shape))

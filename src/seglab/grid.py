@@ -65,8 +65,8 @@ class GridShape:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
+        dims = tuple(map(int, self.dims))
+        if not dims or min(dims) < 1:
             raise ValidationError(f"grid dims must be positive, got {self.dims!r}")
         object.__setattr__(self, "dims", dims)
 
@@ -162,12 +162,18 @@ class ProbabilityMap(_PlaneMap):
 
     @staticmethod
     def check(arr: np.ndarray) -> None:
-        if not np.isfinite(arr).all():
+        """Raise ValidationError unless every value is finite and within the
+        slack band, from one min and one max pass: a NaN propagates into both,
+        and an infinity is an extreme."""
+        if not arr.size:
+            return
+        lo, hi = arr.min(), arr.max()
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValidationError("probabilities must be finite")
-        if arr.size and (arr.min() < -PROB_SLACK or arr.max() > 1.0 + PROB_SLACK):
+        if lo < -PROB_SLACK or hi > 1.0 + PROB_SLACK:
             raise ValidationError(
                 f"probabilities must lie in [0, 1] (+/- {PROB_SLACK:g} probe slack); "
-                f"got range [{arr.min():g}, {arr.max():g}]"
+                f"got range [{lo:g}, {hi:g}]"
             )
 
 

@@ -18,7 +18,11 @@ arrays: one-hot labels ``yv`` shaped ``(classes.total, pixel_count)`` and
 probabilities ``sv`` shaped like ``yv`` (or a probe stack, for the value
 alone).  A kernel returns ``(value, gradient)``; ``grad=False`` lets it skip
 the gradient and return None for it.  The dice kernel takes ``I`` and ``U``
-from one ``overlap_sums`` call for both.  ``_combined`` sums the kernels of a
+from one ``overlap_sums`` call for both.  The ce and nm values read only the
+labelled entry of each pixel, ``_labelled``: one log per pixel for ce, not one
+per class entry.  The labelled entries of a map and of each probe of a stack
+come out C-contiguous and in pixel order, so each stack value is still the
+float the same probe gives as a map.  ``_combined`` sums the kernels of a
 term set; the public functions check the grid and wrap its result, and the
 training step calls it directly.
 """
@@ -86,11 +90,17 @@ def _dice(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     return value, np.where(yv == 1.0, fg[:, None], bg[:, None])
 
 
+def _labelled(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
+    """The probability at each pixel's labelled class, shaped (..., pixel_count)
+    and C-contiguous: the sum over classes of yv * sv, exact because every
+    other term of a pixel is a zero."""
+    return np.einsum("kp,...kp->...p", yv, sv)
+
+
 def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     norm = yv.size
-    safe = np.maximum(sv, CE_CLAMP)
-    value = -(yv * np.log(safe)).sum(axis=(-2, -1)) / norm
-    return value, (-yv / (norm * safe) if grad else None)
+    value = -np.log(np.maximum(_labelled(yv, sv), CE_CLAMP)).sum(axis=-1) / norm
+    return value, (-yv / (norm * np.maximum(sv, CE_CLAMP)) if grad else None)
 
 
 def _mime_weights(yv: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -105,7 +115,7 @@ def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
-    return (-yv * sv).sum(axis=(-2, -1)), -yv
+    return -_labelled(yv, sv).sum(axis=-1), -yv
 
 
 _KERNELS = {"ce": _ce, "dice": _dice, "mime": _mime, "nm": _nm}

@@ -19,9 +19,11 @@ directly with each sample's index map.
 
 ClECE bins every pixel of a class plane into equal-width confidence bins
 [j/bins, (j+1)/bins), the first and last bins also taking the values that
-stray below 0 and above 1, and normalizes by the full pixel count.  All
-class planes are binned in one pass over keys ``k * bins + b``.  A stable
-sort of the keys lays each bin's pixels out contiguously and in pixel order.
+stray below 0 and above 1, and normalizes by the full pixel count.  The
+class planes from a first index on (0 for the public functions, 1 for the
+training engine's test scores, which drop the background) are binned in one
+pass over keys ``k * bins + b``.  A stable sort of the keys lays each bin's
+pixels out contiguously and in pixel order.
 Pixel counts per bin come from the bin edges in the sorted keys, and label
 counts from a ``bincount`` of each pixel's key in its labeled class, read at
 flat indices ``label * pixel_count + pixel``; both are exact.  Confidence
@@ -122,28 +124,31 @@ def _bin_count(bins: object) -> int:
     return int(bins)
 
 
-def _clece_cells(labels: np.ndarray, sv: np.ndarray, bins: int) -> tuple[np.ndarray, ...]:
+def _clece_cells(labels: np.ndarray, sv: np.ndarray, bins: int, first: int = 0) -> tuple[np.ndarray, ...]:
     """Per-class ClECE, then each cell's pixel count, mean confidence and mean
-    label, shaped (classes.total, bins), from a class-index map of pixel_count
-    entries and raw (classes.total, pixel_count) probabilities."""
+    label, shaped (classes.total - first, bins), for the classes from index
+    ``first`` on, from a class-index map of pixel_count entries and raw
+    (classes.total, pixel_count) probabilities."""
     bins = _bin_count(bins)
-    total, n = sv.shape
+    planes = sv[first:]
+    total, n = planes.shape
     cells = total * bins
     key_type = np.min_scalar_type(cells - 1)
-    bin_idx = sv * bins
-    np.floor(bin_idx, out=bin_idx)
-    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
+    bin_idx = planes * bins
+    np.clip(bin_idx, 0, bins - 1, out=bin_idx)  # so the cast below truncates as floor would
     key = (bin_idx.astype(key_type) + np.arange(0, cells, bins, dtype=key_type)[:, None]).reshape(-1)
     # A stable sort on the smallest unsigned key type (a radix sort for up to
     # 16 bits) lays each cell's pixels out contiguously in pixel order.
     order = np.argsort(key, kind="stable")
-    grouped = sv.reshape(-1)[order]
+    grouped = planes.reshape(-1)[order]
     # Bin edges in the sorted keys take a third of the time of a bincount of
     # the keys, which first converts them to intp.
     edges = np.searchsorted(key[order], np.arange(cells + 1))
     starts, stops = edges[:-1], edges[1:]
     counts = stops - starts
-    label_sums = np.bincount(key[labels.reshape(-1).astype(np.intp) * n + np.arange(n)], minlength=cells)
+    rows = labels.reshape(-1).astype(np.intp) - first
+    pixels = np.flatnonzero(rows >= 0)
+    label_sums = np.bincount(key[rows[pixels] * n + pixels], minlength=cells)
     conf_sums = np.zeros(cells)
     filled = np.flatnonzero(counts)
     conf_sums[filled] = [np.add.reduce(grouped[a:b]) for a, b in zip(starts[filled].tolist(), stops[filled].tolist())]

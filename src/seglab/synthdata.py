@@ -54,6 +54,7 @@ __all__ = [
     "Sample",
     "generate",
     "generate_split",
+    "split_of",
     "augment",
     "flip_rotate",
     "export_dataset",
@@ -192,8 +193,19 @@ def generate_split(spec: DatasetSpec, split: str) -> Iterator[Sample]:
 
     child = np.random.SeedSequence(spec.seed).spawn(len(SPLIT_NAMES))[SPLIT_NAMES.index(split)]
     rng = np.random.default_rng(child)
+    prefix = _id_prefix(spec.kind, split)
     for i in range(getattr(spec, split)):
-        yield _make_sample(spec, rng, f"{spec.kind}-{split}-{i:04d}")
+        yield _make_sample(spec, rng, f"{prefix}{i:04d}")
+
+
+def _id_prefix(kind: str, split: str) -> str:
+    """A sample id is this prefix and its four-digit index: acdc_like-val-0003."""
+    return f"{kind}-{split}-"
+
+
+def split_of(spec: DatasetSpec, sample_id: str) -> str | None:
+    """The split a sample id of spec's kind names, or None for any other id."""
+    return next((split for split in SPLIT_NAMES if sample_id.startswith(_id_prefix(spec.kind, split))), None)
 
 
 def generate(spec: DatasetSpec) -> tuple[list[Sample], list[Sample], list[Sample]]:

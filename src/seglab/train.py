@@ -112,7 +112,7 @@ def _score(net: SegNet, samples: Iterable[Sample], when: str, calibration: bool 
         s, _ = _probabilities(net, sample, when)
         dsc_rows.append(_argmax_dsc(sample.label.indices, s)[1:])
         if calibration:
-            clece_rows.append(_clece_cells(sample.label.indices, s, DEFAULT_BINS)[0][1:])
+            clece_rows.append(_clece_cells(sample.label.indices, s, DEFAULT_BINS, first=1)[0])
     return np.array(dsc_rows), np.array(clece_rows)
 
 

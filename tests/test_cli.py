@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import seglab
-from seglab import grid, train
+from seglab import grid, synthdata, train
 from seglab.cli import (
     AUDIT_TERM_SETS,
     AUDIT_TRIALS,
@@ -404,6 +404,24 @@ class TestCliCommands:
             ]
         )
         assert code == 2
+
+    def test_gradmap_draws_only_its_split_up_to_the_sample(self, tmp_path, monkeypatch):
+        cfg_path = write_config(tmp_path, tiny_config(epochs=0, output_dir=str(tmp_path / "run")))
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        drawn = []
+
+        def counted(spec, rng, sample_id, _make=synthdata._make_sample):
+            drawn.append(sample_id)
+            return _make(spec, rng, sample_id)
+
+        monkeypatch.setattr(synthdata, "_make_sample", counted)
+        args = ["--checkpoint", str(tmp_path / "run" / "best.ckpt"), "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", "--sample", "acdc_like-val-0001", *args]) == 0
+        assert drawn == ["acdc_like-val-0000", "acdc_like-val-0001"]
+        drawn.clear()
+        for bad in ("acdc_like-val-0002", "acdc_like-val-1", "acdc_like-bogus-0000", "promise_like-val-0000", "acdc_like-val-0000-x"):
+            assert main(["gradmap", "--sample", bad, *args]) == 2
+        assert all(d.startswith("acdc_like-val-") for d in drawn)
 
     def test_audit_command(self, tmp_path):
         cfg_path = write_config(tmp_path, tiny_config())

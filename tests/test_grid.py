@@ -43,6 +43,30 @@ class TestTypes:
         # probe slack: a finite-difference step outside [0, 1] is fine
         ProbabilityMap(shape, classes, np.array([[0.0, 1.0 + 1e-5], [1.0, -1e-5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_probability_map_rejects_non_finite_between_valid_values(self, bad):
+        planes = np.array([[0.2, 0.5, 0.9], [0.8, bad, 0.1]])
+        with pytest.raises(ValidationError, match="must be finite"):
+            ProbabilityMap(GridShape((3,)), ClassSet(1), planes)
+        with pytest.raises(ValidationError, match="must be finite"):
+            ProbabilityMap.check(planes)
+
+    def test_probability_map_reports_true_range(self):
+        planes = np.array([[0.2, 1.25, 0.9], [0.8, -0.5, 0.1]])
+        with pytest.raises(ValidationError, match=r"got range \[-0\.5, 1\.25\]"):
+            ProbabilityMap(GridShape((3,)), ClassSet(1), planes)
+
+    def test_empty_values_pass_the_probability_check(self):
+        ProbabilityMap.check(np.empty((2, 0)))
+
+    def test_grid_shape_accepts_numpy_integer_dims(self):
+        shape = GridShape((np.int64(4), np.uint8(3)))
+        assert shape.dims == (4, 3) and all(type(d) is int for d in shape.dims)
+        assert shape == GridShape((4, 3))
+        for dims in ((), (np.int64(0), 4), (4, -2), (np.int32(-1),)):
+            with pytest.raises(ValidationError):
+                GridShape(dims)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             ProbabilityMap(GridShape((3,)), ClassSet(1), np.zeros((2, 4)))

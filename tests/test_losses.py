@@ -5,6 +5,7 @@ from seglab.errors import ConfigError, ShapeMismatchError, ValidationError
 from seglab.gradcheck import finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.losses import (
+    CE_CLAMP,
     LOSSES,
     LossConfig,
     ce_grad,
@@ -17,6 +18,7 @@ from seglab.losses import (
     mime_weights,
     nm_grad,
     nm_loss,
+    _labelled,
 )
 
 from .oracles import binary_pair, random_instance
@@ -166,6 +168,27 @@ class TestCrossEntropy:
         y, s = binary_pair([1, 0], [0.0, 0.0])
         assert np.isfinite(ce_loss(y, s))
         assert np.isfinite(ce_grad(y, s).values).all()
+
+
+class TestLabelledValues:
+    """ce and nm values read only the labelled entry of each pixel."""
+
+    def test_values_equal_sums_over_all_entries_to_round_off(self):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            y, s = random_instance(rng, s_low=0.0, s_high=1.0)
+            yv, sv = y.values, s.values
+            full_ce = -(yv * np.log(np.maximum(sv, CE_CLAMP))).sum() / yv.size
+            assert ce_loss(y, s) == pytest.approx(full_ce, rel=1e-14, abs=0)
+            assert nm_loss(y, s) == pytest.approx(-(yv * sv).sum(), rel=1e-14, abs=0)
+
+    def test_labelled_entries_of_a_stack_are_c_contiguous_rows(self):
+        y, s = random_instance(np.random.default_rng(17))
+        stack = np.random.default_rng(18).uniform(size=(5, *s.values.shape))
+        rows = _labelled(y.values, stack)
+        assert rows.shape == (5, y.shape.pixel_count) and rows.flags.c_contiguous
+        assert np.array_equal(rows, stack[:, y.indices, np.arange(y.shape.pixel_count)])
+        assert all(np.array_equal(_labelled(y.values, probe), row) for probe, row in zip(stack, rows))
 
 
 class TestMime:

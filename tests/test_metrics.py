@@ -232,6 +232,21 @@ class TestAgainstPerBinLoop:
                 s = ProbabilityMap(s.shape, s.classes, values)
                 self.assert_same_report(y, s, bins)
 
+    def test_object_classes_alone_equal_their_rows_of_all_classes(self):
+        # the training engine's test scores bin the object classes only
+        rng = np.random.default_rng(15)
+        for bins in (1, 3, 10, 256, 1000, 1500):
+            for _ in range(12):
+                y, s = softmax_instance(rng, random_grid(rng, sides=(1, 40)))
+                values = s.values.copy()
+                values.reshape(-1)[rng.integers(0, values.size, size=3)] = [-PROB_SLACK, 1.0 + PROB_SLACK, 1.0 / bins]
+                full = _clece_cells(y.indices, values, bins)
+                objects = _clece_cells(y.indices, values, bins, first=1)
+                assert all(np.array_equal(a, b[1:]) for a, b in zip(objects, full, strict=True))
+                ref_values, ref_diagnostics = clece_report_loop(y, ProbabilityMap(s.shape, s.classes, values), bins)
+                assert np.array_equal(objects[0], ref_values[1:])
+                assert objects[1].tolist() == [[d.count for d in row] for row in ref_diagnostics[1:]]
+
     def test_argmax_dsc_equals_dsc_of_argmax_prediction(self):
         rng = np.random.default_rng(14)
         for trial in range(300):

@@ -19,6 +19,7 @@ from seglab.synthdata import (
     flip_rotate,
     generate,
     generate_split,
+    split_of,
 )
 
 from .oracles import one_hot, synthetic_sample_mgrid
@@ -110,6 +111,12 @@ class TestGenerate:
         draws = generate_split(spec, split)
         with pytest.raises(ValidationError):
             next(draws)
+
+    def test_split_of_names_the_split_of_every_drawn_id(self):
+        for split, samples in zip(("train", "val", "test"), generate(SMALL)):
+            assert {split_of(SMALL, s.id) for s in samples} == {split}
+        for other in ("nope", "promise_like-val-0000", "acdc_like-holdout-0000", "acdc_like-val"):
+            assert split_of(SMALL, other) is None
 
     def test_different_seeds_differ(self):
         a, _, _ = generate(SMALL)
