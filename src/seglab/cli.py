@@ -36,7 +36,7 @@ from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
-from .synthdata import export_dataset, generate, generate_split, split_of
+from .synthdata import export_dataset, generate_split, split_of
 from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
 
 __all__ = [
@@ -100,12 +100,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
             numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
             max_err = max(max_err, max_relative_error(analytic, numeric))
             if terms == (("dice", 1.0),):  # analytic is then dice_grad(labels, probs, lcfg)
-                violations += audit_bound(
-                    analytic,
-                    overlap_stats(labels, probs),
-                    1.0 / labels.classes.total,
-                    epsilon=lcfg.epsilon,
-                )
+                violations += audit_bound(analytic, overlap_stats(labels, probs), epsilon=lcfg.epsilon)
 
     spec, init_seed, _, _ = _streams(cfg)
     sample = next(generate_split(spec, "val"))
@@ -115,9 +110,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     label = sample.label
     sample_grad = dice_grad(label, probs, lcfg)
     distinct = audit_two_valued(sample_grad)
-    violations += audit_bound(
-        sample_grad, overlap_stats(label, probs), 1.0 / spec.classes.total, epsilon=lcfg.epsilon
-    )
+    violations += audit_bound(sample_grad, overlap_stats(label, probs), epsilon=lcfg.epsilon)
     report = GradAuditReport(
         max_rel_error=max_err,
         distinct_values=tuple(distinct),
@@ -223,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             cfg = _config_with_overrides(args)
             spec = _streams(cfg)[0]
-            manifest = export_dataset(*generate(spec), spec, args.out)
+            manifest = export_dataset(spec, args.out)
             print(f"wrote dataset manifest {manifest}")
             return 0
         if args.command == "train":

@@ -57,9 +57,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+            raise ConfigError(f"config key 'epochs' must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"config key 'batch_size' must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be >= 0, got {self.seed}")
         _checked_terms(self.loss_terms)
@@ -85,7 +85,8 @@ def _read(data, name: str, converters: dict) -> dict:
     SegLabError from a nested block passes through unchanged.
     """
     if not isinstance(data, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {data!r}")
+        where = "config" if name == "config" else f"config key {name!r}"
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     unknown = sorted(set(data) - set(converters))
     if unknown:
         raise ConfigError(f"unknown {name} keys {', '.join(map(repr, unknown))}; expected {', '.join(converters)}")
@@ -156,7 +157,7 @@ def _loss(value) -> dict:
             raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {kind!r}")
         loss["terms"] = ((kind, 1.0),)
     elif kind != "combined":
-        raise ConfigError(f"unknown loss kind {kind!r}")
+        raise ConfigError(f"loss key 'kind' must be one of {(*LOSS_IDS, 'combined')}, got {kind!r}")
     terms = loss.pop("terms", ())
     return {"loss_kind": kind, "loss_terms": terms, **{f"mime_{k}": v for k, v in loss.items()}}
 

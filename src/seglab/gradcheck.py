@@ -6,19 +6,19 @@ raw float64 stacks of probes shaped ``(n, classes.total, pixel_count)``, at
 most ``PROBE_BLOCK`` elements each, and expects ``n`` values back, so one call
 evaluates many probes in one array pass.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
-values per class plane, magnitudes below 2/(U + eps) per class (after the
-1/|classes| averaging), and a narrow dynamic range.
+values per class plane, magnitudes below 2/(U + eps) per class times the
+loss's 1/|classes| average, whose |classes| the audited map's class set gives,
+and a narrow dynamic range.
 
 Dynamic range convention: 10 * log10(max |g| / min nonzero |g|), taken
 globally over all classes and pixels.
 
-Audit reports serialize to UTF-8 JSON with the keys
-{"max_rel_error", "distinct_values", "bound_violations", "dynamic_range_db"}.
+Audit reports are written as JSON artifacts (``imgio.write_json``) with the
+keys {"max_rel_error", "distinct_values", "bound_violations", "dynamic_range_db"}.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
 from .grid import PROB_SLACK, ClassOverlapStats, GradientMap, ProbabilityMap
-from .imgio import write_atomic, write_pfm
+from .imgio import write_json, write_pfm
+from .losses import LossConfig
 
 __all__ = [
     "FD_STEP",
@@ -123,22 +124,17 @@ def audit_two_valued(g: GradientMap, tol: float = 1e-12) -> list[int]:
     return counts
 
 
-def audit_bound(
-    g: GradientMap,
-    stats: ClassOverlapStats,
-    class_avg: float,
-    epsilon: float = 1e-8,
-) -> int:
-    """Count pixels whose |g| exceeds class_avg * 2 / (U + eps).
+def audit_bound(g: GradientMap, stats: ClassOverlapStats, *, epsilon: float = LossConfig.epsilon) -> int:
+    """Count pixels whose |g| exceeds 2 / (|K| * (U + eps)), |K| = g.classes.total.
 
-    Zero for any gradient produced by dice_grad with matching stats; a scaled
-    copy serves as the negative control.
+    Zero for any gradient produced by dice_grad with matching stats and
+    epsilon; a scaled copy serves as the negative control.
     """
     if stats.union_sum.shape[0] != g.classes.total:
         raise ValidationError(
             f"stats cover {stats.union_sum.shape[0]} classes, gradient has {g.classes.total}"
         )
-    limit = class_avg * 2.0 / (stats.union_sum + epsilon) + BOUND_SLACK
+    limit = 2.0 / g.classes.total / (stats.union_sum + epsilon) + BOUND_SLACK
     return int((np.abs(g.values) > limit[:, None]).sum())
 
 
@@ -179,14 +175,5 @@ class GradAuditReport:
         if self.max_rel_error < 0 or self.bound_violations < 0:
             raise ValidationError("audit counters must be non-negative")
 
-    def to_json(self) -> str:
-        payload = {
-            "max_rel_error": self.max_rel_error,
-            "distinct_values": list(self.distinct_values),
-            "bound_violations": self.bound_violations,
-            "dynamic_range_db": self.dynamic_range_db,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
     def write(self, path: str | Path) -> Path:
-        return write_atomic(path, self.to_json().encode("utf-8"))
+        return write_json(path, asdict(self))

@@ -8,9 +8,8 @@ losses and ``overlap_stats`` read, are built on first access and kept.
 Probability and gradient maps store one flat row-major float64 plane per
 class: an array of shape ``(classes.total, shape.pixel_count)`` where pixel
 index ``i`` enumerates the flattened grid, copied and frozen at construction.
-Their constructors also accept values laid out spatially as
-``(classes.total, *shape.dims)``; they are flattened on the way in.  Class
-index 0 is always the background.
+Their constructors take only this flat layout; ``planes()`` and ``plane(k)``
+read it back on the grid.  Class index 0 is always the background.
 """
 from __future__ import annotations
 
@@ -126,15 +125,11 @@ class _PlaneMap:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=np.float64)
-        flat = (self.classes.total, self.shape.pixel_count)
-        if arr.shape != flat:
-            if arr.shape == (self.classes.total, *self.shape.dims):
-                arr = arr.reshape(flat)
-            else:
-                raise ShapeMismatchError(
-                    f"values shape {arr.shape} does not match "
-                    f"{self.classes.total} classes on grid {self.shape.dims}"
-                )
+        if arr.shape != (self.classes.total, self.shape.pixel_count):
+            raise ShapeMismatchError(
+                f"values shape {arr.shape} does not match {self.classes.total} classes "
+                f"of {self.shape.pixel_count} pixels on grid {self.shape.dims}"
+            )
         self.check(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

@@ -6,11 +6,14 @@ scanlines stored bottom-to-top as in the common reference readers.
 PGM: binary "P5" with maxval 65535, two bytes per pixel, most significant
 byte first.
 
+JSON artifacts: UTF-8, keys sorted, two-space indent, a final newline.
+
 Both readers accept only what the writers here produce (no comment lines, no
 trailing bytes) and raise ValidationError for any other content.
 """
 from __future__ import annotations
 
+import json
 import math
 import os
 from pathlib import Path
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["write_atomic", "write_pfm", "read_pfm", "write_pgm16", "read_pgm16"]
+__all__ = ["write_atomic", "write_json", "write_pfm", "read_pfm", "write_pgm16", "read_pgm16"]
 
 
 def write_atomic(path: str | Path, data: bytes) -> Path:
@@ -39,6 +42,11 @@ def write_atomic(path: str | Path, data: bytes) -> Path:
     finally:
         tmp.unlink(missing_ok=True)
     return path
+
+
+def write_json(path: str | Path, payload: dict) -> Path:
+    """Write a JSON artifact atomically."""
+    return write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:

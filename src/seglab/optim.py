@@ -3,8 +3,9 @@ plateau learning-rate scheduler.
 
 SGD: v <- momentum * v + (g + weight_decay * theta); theta <- theta - eta * lam * v.
 With momentum = 0, weight_decay = 0 and lam = 1 this is exactly
-theta - eta * g.  Adam uses the classical bias-corrected form; weight decay is
-an SGD-only setting and is ignored by adam_step.
+theta - eta * g.  Adam uses the classical bias-corrected form at step t, which
+its state counts: ``AdamState.t`` is the number of updates taken.  Weight decay
+is an SGD-only setting and is ignored by adam_step.
 
 The scheduler halves the learning rate once the validation metric has failed
 to improve (strict increase) for `patience` consecutive epochs, then resets
@@ -45,7 +46,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in OPTIMIZER_KINDS:
-            raise ValidationError(f"unknown optimizer kind {self.kind!r}")
+            raise ValidationError(f"optimizer key 'kind' must be one of {OPTIMIZER_KINDS}, got {self.kind!r}")
         if not self.eta > 0:
             raise ValidationError(f"learning rate must be positive, got {self.eta}")
         if not self.lam > 0:
@@ -63,11 +64,7 @@ class OptimizerConfig:
 def default_optimizer_config(kind: str) -> OptimizerConfig:
     """Reference hyper-parameters: the OptimizerConfig defaults (Adam), or SGD
     at eta 1e-2 with the default momentum and weight decay."""
-    if kind == "adam":
-        return OptimizerConfig()
-    if kind == "sgd":
-        return OptimizerConfig(kind="sgd", eta=1e-2)
-    raise ValidationError(f"unknown optimizer kind {kind!r}")
+    return OptimizerConfig(kind="sgd", eta=1e-2) if kind == "sgd" else OptimizerConfig(kind=kind)
 
 
 @dataclass(eq=False)
@@ -83,6 +80,7 @@ class MomentumState:
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    t: int = 0  # updates taken
 
     @classmethod
     def fresh(cls, n: int) -> "AdamState":
@@ -114,16 +112,17 @@ def adam_step(
     grad: np.ndarray,
     cfg: OptimizerConfig,
     state: AdamState,
-    t: int,
 ) -> np.ndarray:
-    """One bias-corrected Adam update at step t >= 1; mutates `state`."""
-    if t < 1:
-        raise ValidationError(f"Adam step index must be >= 1, got {t}")
+    """One bias-corrected Adam update; counts the step in `state.t` and mutates `state`.
+
+    Rejected inputs leave `state` unchanged.
+    """
     _check_update_inputs(theta, grad)
+    state.t += 1
     state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grad
     state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grad**2
-    m_hat = state.m / (1.0 - cfg.beta1**t)
-    v_hat = state.v / (1.0 - cfg.beta2**t)
+    m_hat = state.m / (1.0 - cfg.beta1**state.t)
+    v_hat = state.v / (1.0 - cfg.beta2**state.t)
     return theta - (cfg.eta * cfg.lam) * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 

@@ -32,12 +32,13 @@ class plane; the label builds them only if its ``values`` are read, and the
 training engine builds raw planes from ``label.indices`` where a loss needs
 them.
 
-Export writes one 16-bit PGM per image, one per label-index map, and a JSON
-manifest of ids per split.
+Export draws each split of a spec and writes each sample as it is drawn:
+one 16-bit PGM per image and one per label-index map, so it holds one sample
+at a time.  The JSON manifest of the spec and of the ids per split is written
+last.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import ClassSet, LabelMap
-from .imgio import write_atomic, write_pgm16
+from .imgio import write_json, write_pgm16
 
 __all__ = [
     "DatasetSpec",
@@ -243,17 +244,10 @@ def augment(sample: Sample, seed: int) -> Sample:
     )
 
 
-def export_dataset(
-    train: list[Sample],
-    val: list[Sample],
-    test: list[Sample],
-    spec: DatasetSpec,
-    out_dir: str | Path,
-) -> Path:
-    """Write PGM images and label-index maps plus a JSON manifest."""
+def export_dataset(spec: DatasetSpec, out_dir: str | Path) -> Path:
+    """Draw the spec's splits and write their PGM images and label-index maps,
+    then the JSON manifest."""
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "labels").mkdir(parents=True, exist_ok=True)
     manifest = {
         "kind": spec.kind,
         "image_size": list(spec.image_size),
@@ -262,12 +256,13 @@ def export_dataset(
         "seed": spec.seed,
         "splits": {},
     }
-    for split, samples in zip(SPLIT_NAMES, (train, val, test)):
+    for split in SPLIT_NAMES:
         ids = []
-        for sample in samples:
-            write_pgm16(out / "images" / f"{sample.id}.pgm", np.round(sample.image * 65535.0))
-            write_pgm16(out / "labels" / f"{sample.id}.pgm", sample.label.indices)
+        for sample in generate_split(spec, split):
+            # made at the first write, so a spec that cannot be drawn leaves no directory
+            for sub, values in (("images", np.round(sample.image * 65535.0)), ("labels", sample.label.indices)):
+                (out / sub).mkdir(parents=True, exist_ok=True)
+                write_pgm16(out / sub / f"{sample.id}.pgm", values)
             ids.append(sample.id)
         manifest["splits"][split] = ids
-    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    return write_atomic(out / "manifest.json", text.encode("utf-8"))
+    return write_json(out / "manifest.json", manifest)

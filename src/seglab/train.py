@@ -6,9 +6,9 @@ byte.  A null dataset seed is derived from the run seed.  Artifacts never
 embed absolute paths.
 
 A run carries one ``_TrainState`` from epoch to epoch: the configured
-optimizer's state and step count, the plateau scheduler (whose best metric is
-the best validation DSC so far), the best parameters and epoch, the epoch log,
-and the shuffle and augment generators.  ``_train_epoch`` advances it by one
+optimizer's state (Adam's counts its own steps), the plateau scheduler (whose
+best metric is the best validation DSC so far), the best parameters and
+epoch, the epoch log, and the shuffle and augment generators.  ``_train_epoch`` advances it by one
 epoch.  Each training step, validation epoch, test pass and gradient-map
 export runs the same checked forward and softmax on raw arrays; only the
 export wraps its gradients in maps.  Validation and testing share one scoring
@@ -27,7 +27,6 @@ the first validation sample at the best parameters.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -38,7 +37,7 @@ from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, TrainingAbortError
 from .gradcheck import export_gradient_map
 from .grid import GradientMap, ProbabilityMap, _one_hot
-from .imgio import write_atomic
+from .imgio import write_atomic, write_json
 from .losses import LossConfig, _combined
 from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
 from .net import ForwardCache, SegNet, _softmax, _softmax_backward, backward, forward, save_checkpoint
@@ -152,10 +151,6 @@ def _write_curve_csv(path: Path, log: RunLog, count_objects: int) -> None:
     _write_csv(path, [header, *rows])
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    write_atomic(path, (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8"))
-
-
 @dataclass(eq=False)
 class _TrainState:
     """Everything a run carries from one epoch to the next, besides the net."""
@@ -165,7 +160,6 @@ class _TrainState:
     best_params: np.ndarray
     shuffle_rng: np.random.Generator
     augment_rng: np.random.Generator
-    steps: int = 0  # optimizer steps taken, Adam's t
     best_epoch: int | None = None
     log: RunLog = field(default_factory=list)
 
@@ -183,19 +177,16 @@ def _train_epoch(
         batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
         if cfg.augment:
             batch = [augment(s, int(state.augment_rng.integers(0, 2**63))) for s in batch]
-        results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
-        batch_loss = float(np.mean([value for value, _ in results]))
-        if not np.isfinite(batch_loss):
-            raise TrainingAbortError(f"non-finite training loss {batch_loss} at epoch {epoch}")
-        grad = np.mean([g for _, g in results], axis=0)
-        state.steps += 1
-        # An overflowing step leaves non-finite parameters; the next
-        # training or validation forward reports them.
+        # Huge loss weights overflow in the losses, backward and the batch
+        # means: the gradient and batch-loss checks report it.  An overflowing
+        # step leaves non-finite parameters: the next forward reports them.
         with np.errstate(over="ignore", invalid="ignore"):
-            if cfg.optimizer.kind == "sgd":
-                theta = sgd_step(net.theta, grad, step_cfg, state.optimizer)
-            else:
-                theta = adam_step(net.theta, grad, step_cfg, state.optimizer, state.steps)
+            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
+            batch_loss = float(np.mean([value for value, _ in results]))
+            if not np.isfinite(batch_loss):
+                raise TrainingAbortError(f"non-finite training loss {batch_loss} at epoch {epoch}")
+            grad = np.mean([g for _, g in results], axis=0)
+            theta = (sgd_step if cfg.optimizer.kind == "sgd" else adam_step)(net.theta, grad, step_cfg, state.optimizer)
         net.set_params(theta)
         batch_losses.append(batch_loss)
 
@@ -232,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     test_report = _test_metrics(net, generate_split(spec, "test"), cfg)
 
     _write_curve_csv(out / "val_dsc.csv", state.log, spec.classes.count_objects)
-    _write_json(out / "test_metrics.json", test_report)
+    write_json(out / "test_metrics.json", test_report)
     best_val = None if state.best_epoch is None else state.scheduler.best_metric
     save_checkpoint(
         out / "best.ckpt",

@@ -152,10 +152,10 @@ def test_criterion_3_gradient_bound():
         y, s = random_instance(rng, max_pixels=32)
         g = dice_grad(y, s, cfg)
         stats = overlap_stats(y, s)
-        violations += audit_bound(g, stats, 1.0 / y.classes.total, epsilon=cfg.epsilon)
+        violations += audit_bound(g, stats, epsilon=cfg.epsilon)
         if i < 10:
             scaled = GradientMap(g.shape, g.classes, 10.0 * g.values)
-            if audit_bound(scaled, stats, 1.0 / y.classes.total, epsilon=cfg.epsilon) == 0:
+            if audit_bound(scaled, stats, epsilon=cfg.epsilon) == 0:
                 control_caught = False
     ok = violations == 0 and control_caught
     _report(

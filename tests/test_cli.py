@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,20 @@ class TestRunExperiment:
         _, header = load_checkpoint(tmp_path / "run" / "best.ckpt")
         assert header["epoch"] == result.best_epoch == 0
         assert header["best_val_dsc"] == result.log[0].val_dsc_mean == max(rec.val_dsc_mean for rec in result.log)
+
+    @pytest.mark.parametrize("kind, state_type", [("sgd", "MomentumState"), ("adam", "AdamState")])
+    def test_one_optimizer_call_per_step(self, tmp_path, monkeypatch, kind, state_type):
+        calls = []
+
+        def counted(theta, grad, cfg, state, _step=getattr(train, f"{kind}_step")):
+            calls.append(type(state).__name__)
+            return _step(theta, grad, cfg, state)
+
+        monkeypatch.setattr(train, f"{kind}_step", counted)
+        data = tiny_config(epochs=1, batch_size=3, optimizer={"kind": kind}, output_dir=str(tmp_path / "run"))
+        run_experiment(config_from_dict(data))
+        # 8 training samples in batches of 3
+        assert calls == [state_type] * 3
 
     def test_needs_output_dir(self):
         cfg = config_from_dict(tiny_config())
@@ -476,11 +491,13 @@ class TestCliCommands:
         cfg_path = write_config(tmp_path, tiny_config(epochs=0))
         out = tmp_path / "override"
         code = main(
-            ["train", "--config", str(cfg_path), "--loss", "ce", "--seed", "3", "--out", str(out)]
+            ["train", "--config", str(cfg_path), "--loss", "ce", "--opt", "sgd", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
         _, header = load_checkpoint(out / "best.ckpt")
         assert header["config"]["loss"]["kind"] == "ce"
+        assert header["config"]["optimizer"] == asdict(default_optimizer_config("sgd"))
+        assert header["config"]["optimizer"]["eta"] == 1e-2
         assert header["config"]["seed"] == 3
         assert (out / "gradmap_ce_k0.pfm").exists()
 
@@ -533,6 +550,11 @@ class TestBadInput:
             ({"optimizer": {"kind": "adam", "adam_eps": 0.0}}, "adam_eps"),
             ({"seed": -1}, "seed"),
             ({"dataset": TINY_DATASET | {"seed": -5}}, "seed"),
+            ({"epochs": -1}, "epochs"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"dataset": 3}, "dataset"),
+            ({"optimizer": {"kind": "rmsprop"}}, "kind"),
+            ({"loss": {"kind": "tversky"}}, "kind"),
         ],
         ids=[
             "epochs_not_int",
@@ -559,6 +581,11 @@ class TestBadInput:
             "adam_eps_zero",
             "run_seed_negative",
             "dataset_seed_negative",
+            "epochs_negative",
+            "batch_size_zero",
+            "dataset_not_object",
+            "unknown_optimizer_kind",
+            "unknown_loss_kind",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -605,6 +632,12 @@ class TestBadInput:
         (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
         assert main([arg.format(tmp=tmp_path, cfg=cfg_path) for arg in argv]) == 2
         self.single_error_line(capsys)
+
+    def test_generate_of_a_spec_that_cannot_be_drawn_writes_nothing(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(dataset=TINY_DATASET | {"image_size": [32, 32]}))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 2
+        assert "acdc_like" in self.single_error_line(capsys)
+        assert not (tmp_path / "data").exists()
 
     def test_gradmap_rejects_a_config_with_other_classes(self, tmp_path, capsys):
         data = tiny_config(epochs=0, dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 32]})
@@ -672,6 +705,16 @@ class TestBadInput:
             assert main(["train", "--config", str(cfg_path)]) == 2
         line = self.single_error_line(capsys)
         assert "non-finite logits" in line and where in line
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_huge_loss_weights_report_only_the_error_line(self, tmp_path, capsys):
+        data = tiny_config(epochs=1, loss="mime", output_dir=str(tmp_path / "run"))
+        data["loss"] |= {"a": 1e306, "b": 1e306}
+        cfg_path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg_path)]) == 2
+        assert "non-finite training loss" in self.single_error_line(capsys)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("value", [np.inf, 1e300, np.nan], ids=["inf", "huge", "nan"])

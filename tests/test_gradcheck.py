@@ -167,21 +167,36 @@ class TestBound:
     def test_worked_case_has_no_violations(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
         g = dice_grad(y, s)
-        assert audit_bound(g, overlap_stats(y, s), 1.0 / 2) == 0
+        assert audit_bound(g, overlap_stats(y, s)) == 0
 
     def test_1000_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             y, s = random_instance(rng, max_pixels=24)
             g = dice_grad(y, s)
-            assert audit_bound(g, overlap_stats(y, s), 1.0 / y.classes.total) == 0
+            assert audit_bound(g, overlap_stats(y, s)) == 0
 
     def test_scaled_gradient_is_caught(self):
         rng = np.random.default_rng(5)
         y, s = random_instance(rng)
         g = dice_grad(y, s)
         scaled = GradientMap(g.shape, g.classes, 10.0 * g.values)
-        assert audit_bound(scaled, overlap_stats(y, s), 1.0 / y.classes.total) > 0
+        assert audit_bound(scaled, overlap_stats(y, s)) > 0
+
+    def test_limit_is_two_over_class_count_times_union(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            y, s = random_instance(rng)
+            stats = overlap_stats(y, s)
+            limit = 2.0 / (y.classes.total * (stats.union_sum + LossConfig.epsilon))
+            factors = rng.choice([0.99, 1.01], size=s.values.shape)
+            g = GradientMap(s.shape, s.classes, factors * limit[:, None])
+            assert audit_bound(g, stats) == int((factors > 1).sum())
+
+    def test_epsilon_is_keyword_only(self):
+        y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
+        with pytest.raises(TypeError):
+            audit_bound(dice_grad(y, s), overlap_stats(y, s), 0.5)
 
 
 class TestDynamicRange:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from seglab.errors import ShapeMismatchError, ValidationError
 from seglab.grid import (
     ClassSet,
+    GradientMap,
     GridShape,
     LabelMap,
     ProbabilityMap,
@@ -78,14 +79,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             s.values[0, 0] = 5.0
 
-    def test_spatial_layout_accepted(self):
+    def test_spatial_layout_rejected(self):
         classes = ClassSet(1)
         shape = GridShape((2, 2))
         planes = np.zeros((2, 2, 2))
         planes[0] = 1.0
-        s = ProbabilityMap(shape, classes, planes)
-        assert s.values.shape == (2, 4)
+        for cls in (ProbabilityMap, GradientMap):
+            with pytest.raises(ShapeMismatchError):
+                cls(shape, classes, planes)
+        s = ProbabilityMap(shape, classes, planes.reshape(2, 4))
         assert np.array_equal(s.plane(0), np.ones((2, 2)))
+        assert np.array_equal(s.planes(), planes)
 
 
 class TestOverlapStats:

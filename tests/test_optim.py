@@ -103,13 +103,13 @@ class TestAdam:
     def test_zero_gradient_at_first_step_is_identity(self):
         theta = np.array([3.0, -1.0])
         cfg = default_optimizer_config("adam")
-        out = adam_step(theta, np.zeros(2), cfg, AdamState.fresh(2), t=1)
+        out = adam_step(theta, np.zeros(2), cfg, AdamState.fresh(2))
         assert np.array_equal(out, theta)
 
     def test_first_step_with_unit_gradient(self):
         # bias corrections cancel at t=1: step = eta / (1 + adam_eps)
         cfg = default_optimizer_config("adam")
-        out = adam_step(np.zeros(1), np.ones(1), cfg, AdamState.fresh(1), t=1)
+        out = adam_step(np.zeros(1), np.ones(1), cfg, AdamState.fresh(1))
         assert out[0] == pytest.approx(-5e-4 / (1 + 1e-8), rel=1e-12)
 
     def test_constant_gradient_step_approaches_eta_sign(self):
@@ -118,8 +118,8 @@ class TestAdam:
             state = AdamState.fresh(1)
             theta = np.zeros(1)
             grad = np.array([g])
-            for t in range(1, 3001):
-                new = adam_step(theta, grad, cfg, state, t)
+            for _ in range(3000):
+                new = adam_step(theta, grad, cfg, state)
                 step = new[0] - theta[0]
                 theta = new
             assert step == pytest.approx(-cfg.eta * np.sign(g), rel=1e-3)
@@ -132,22 +132,46 @@ class TestAdam:
             state = AdamState.fresh(1)
             theta = np.zeros(1)
             grad = np.array([0.01 * scale])
-            for t in range(1, 3001):
-                new = adam_step(theta, grad, cfg, state, t)
+            for _ in range(3000):
+                new = adam_step(theta, grad, cfg, state)
                 step = new[0] - theta[0]
                 theta = new
             finals.append(step)
         assert finals[0] == pytest.approx(finals[1], rel=1e-6)
 
-    def test_step_index_must_be_positive(self):
+    def test_state_counts_its_steps(self):
         cfg = default_optimizer_config("adam")
-        with pytest.raises(ValidationError):
-            adam_step(np.zeros(1), np.zeros(1), cfg, AdamState.fresh(1), t=0)
+        state = AdamState.fresh(1)
+        assert state.t == 0
+        for t in range(1, 4):
+            adam_step(np.zeros(1), np.ones(1), cfg, state)
+            assert state.t == t
+
+    def test_counted_steps_bias_correct_as_explicit_ones(self):
+        cfg = default_optimizer_config("adam")
+        state = AdamState.fresh(1)
+        theta = np.zeros(1)
+        m = v = 0.0
+        for t in range(1, 6):
+            g = 0.5 * t
+            theta_ref = theta[0]
+            theta = adam_step(theta, np.array([g]), cfg, state)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g**2
+            m_hat, v_hat = m / (1.0 - cfg.beta1**t), v / (1.0 - cfg.beta2**t)
+            assert theta[0] == theta_ref - cfg.eta * cfg.lam * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
     def test_non_finite_gradient_aborts(self):
+        # the abort leaves the step count and moments as they were
         cfg = default_optimizer_config("adam")
-        with pytest.raises(TrainingAbortError):
-            adam_step(np.zeros(1), np.array([np.inf]), cfg, AdamState.fresh(1), t=1)
+        state = AdamState.fresh(2)
+        adam_step(np.zeros(2), np.ones(2), cfg, state)
+        m, v = state.m.copy(), state.v.copy()
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(TrainingAbortError):
+                adam_step(np.zeros(2), np.array([1.0, bad]), cfg, state)
+            assert state.t == 1
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 class TestScheduler:

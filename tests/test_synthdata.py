@@ -265,12 +265,15 @@ class TestAugment:
 class TestExport:
     def test_export_round_trip(self, tmp_path):
         train, val, test = generate(SMALL)
-        manifest_path = export_dataset(train, val, test, SMALL, tmp_path)
+        manifest_path = export_dataset(SMALL, tmp_path)
         manifest = json.loads(manifest_path.read_text())
         assert manifest["kind"] == "acdc_like"
         assert manifest["count_objects"] == 3
-        assert set(manifest["splits"]) == {"train", "val", "test"}
+        assert manifest["seed"] == SMALL.seed
+        assert manifest["splits"] == {name: [s.id for s in split] for name, split in zip(("train", "val", "test"), (train, val, test))}
         assert len(manifest["splits"]["train"]) == 4
+        for sample in [*train, *val, *test]:
+            assert np.array_equal(read_pgm16(tmp_path / "labels" / f"{sample.id}.pgm"), sample.label.indices)
         sample = train[0]
         image_back = read_pgm16(tmp_path / "images" / f"{sample.id}.pgm")
         assert np.array_equal(image_back, np.round(sample.image * 65535.0).astype(np.uint16))
@@ -278,8 +281,8 @@ class TestExport:
         assert np.array_equal(label_back, sample.label.indices.astype(np.uint16))
 
     def test_image_reconstruction_error_within_quantization(self, tmp_path):
-        train, val, test = generate(SMALL)
-        export_dataset(train, val, test, SMALL, tmp_path)
+        train, _, _ = generate(SMALL)
+        export_dataset(SMALL, tmp_path)
         back = read_pgm16(tmp_path / "images" / f"{train[0].id}.pgm").astype(np.float64) / 65535.0
         assert np.abs(back - train[0].image).max() <= 0.5 / 65535.0 + 1e-12
 
