@@ -22,7 +22,6 @@ from .errors import (
     ValidationError,
 )
 from .grid import (
-    ClassOverlapStats,
     ClassSet,
     GradientMap,
     GridShape,

@@ -32,7 +32,7 @@ from .gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
+from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap
 from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
@@ -100,7 +100,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
             numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
             max_err = max(max_err, max_relative_error(analytic, numeric))
             if terms == (("dice", 1.0),):  # analytic is then dice_grad(labels, probs, lcfg)
-                violations += audit_bound(analytic, overlap_stats(labels, probs), epsilon=lcfg.epsilon)
+                violations += audit_bound(analytic, labels, probs, epsilon=lcfg.epsilon)
 
     spec, init_seed, _, _ = _streams(cfg)
     sample = next(generate_split(spec, "val"))
@@ -110,7 +110,7 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     label = sample.label
     sample_grad = dice_grad(label, probs, lcfg)
     distinct = audit_two_valued(sample_grad)
-    violations += audit_bound(sample_grad, overlap_stats(label, probs), epsilon=lcfg.epsilon)
+    violations += audit_bound(sample_grad, label, probs, epsilon=lcfg.epsilon)
     report = GradAuditReport(
         max_rel_error=max_err,
         distinct_values=tuple(distinct),

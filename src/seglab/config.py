@@ -120,6 +120,12 @@ def _as_float(value) -> float:
     return number
 
 
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
+
+
 def _as_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError("expected true or false")
@@ -175,7 +181,7 @@ _CONFIG = {
     "batch_size": _as_int,
     "seed": _as_int,
     "augment": _as_bool,
-    "output_dir": lambda v: Path(v) if v else None,
+    "output_dir": lambda v: None if v in (None, "") else Path(_as_str(v)),
 }
 
 

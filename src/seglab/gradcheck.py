@@ -6,9 +6,10 @@ raw float64 stacks of probes shaped ``(n, classes.total, pixel_count)``, at
 most ``PROBE_BLOCK`` elements each, and expects ``n`` values back, so one call
 evaluates many probes in one array pass.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
-values per class plane, magnitudes below 2/(U + eps) per class times the
-loss's 1/|classes| average, whose |classes| the audited map's class set gives,
-and a narrow dynamic range.
+values per class plane, magnitudes below 2/(|K| * (U + eps)) per class, with
+|K| and U read from the audited (label, probability) pair, and a narrow
+dynamic range.  Gradient maps export one PFM plane per class; the PFM writer
+decides which planes it can hold.
 
 Dynamic range convention: 10 * log10(max |g| / min nonzero |g|), taken
 globally over all classes and pixels.
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
-from .grid import PROB_SLACK, ClassOverlapStats, GradientMap, ProbabilityMap
+from .grid import PROB_SLACK, GradientMap, LabelMap, ProbabilityMap, overlap_stats, require_same_grid
 from .imgio import write_json, write_pfm
 from .losses import LossConfig
 
@@ -115,7 +116,7 @@ def audit_two_valued(g: GradientMap, tol: float = 1e-12) -> list[int]:
     Counts the equivalence classes of the transitive closure of |x - y| <= tol:
     sorted values are clustered wherever consecutive gaps exceed tol.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValidationError(f"tolerance must be non-negative, got {tol}")
     counts = []
     for row in g.values:
@@ -124,17 +125,17 @@ def audit_two_valued(g: GradientMap, tol: float = 1e-12) -> list[int]:
     return counts
 
 
-def audit_bound(g: GradientMap, stats: ClassOverlapStats, *, epsilon: float = LossConfig.epsilon) -> int:
-    """Count pixels whose |g| exceeds 2 / (|K| * (U + eps)), |K| = g.classes.total.
+def audit_bound(g: GradientMap, y: LabelMap, s: ProbabilityMap, *, epsilon: float = LossConfig.epsilon) -> int:
+    """Count pixels whose |g| exceeds 2 / (|K| * (U + eps)), with |K| and U
+    those of the pair (y, s) that g is the gradient at.
 
-    Zero for any gradient produced by dice_grad with matching stats and
-    epsilon; a scaled copy serves as the negative control.
+    Zero for dice_grad(y, s) at the same epsilon; a scaled copy serves as the
+    negative control.  g on another grid or class set than y raises
+    ShapeMismatchError.
     """
-    if stats.union_sum.shape[0] != g.classes.total:
-        raise ValidationError(
-            f"stats cover {stats.union_sum.shape[0]} classes, gradient has {g.classes.total}"
-        )
-    limit = 2.0 / g.classes.total / (stats.union_sum + epsilon) + BOUND_SLACK
+    require_same_grid(y, g)
+    _, union = overlap_stats(y, s)
+    limit = 2.0 / g.classes.total / (union + epsilon) + BOUND_SLACK
     return int((np.abs(g.values) > limit[:, None]).sum())
 
 
@@ -148,13 +149,10 @@ def dynamic_range_db(g: GradientMap) -> float:
 
 
 def export_gradient_map(g: GradientMap, path: str | Path) -> list[Path]:
-    """Write one PFM file per class plane, named <path>_k<k>.pfm."""
-    if g.shape.ndim > 2:
-        raise ValidationError(f"PFM export supports 1-D and 2-D grids, got {g.shape.dims}")
+    """Write one PFM file per class plane, named <path>_k<k>.pfm; write_pfm
+    rejects a grid that is not 2-D."""
     written = []
     for k, plane in enumerate(g.planes()):
-        if plane.ndim == 1:
-            plane = plane.reshape(1, -1)
         target = Path(f"{path}_k{k}.pfm")
         write_pfm(target, plane)
         written.append(target)

@@ -10,6 +10,9 @@ class: an array of shape ``(classes.total, shape.pixel_count)`` where pixel
 index ``i`` enumerates the flattened grid, copied and frozen at construction.
 Their constructors take only this flat layout; ``planes()`` and ``plane(k)``
 read it back on the grid.  Class index 0 is always the background.
+
+``overlap_stats`` returns the per-class intersection I and union sum U of a
+(label, probability) pair as a plain pair of arrays.
 """
 from __future__ import annotations
 
@@ -27,7 +30,6 @@ __all__ = [
     "LabelMap",
     "ProbabilityMap",
     "GradientMap",
-    "ClassOverlapStats",
     "overlap_stats",
     "PROB_SLACK",
 ]
@@ -72,10 +74,6 @@ class GridShape:
     @property
     def pixel_count(self) -> int:
         return math.prod(self.dims)
-
-    @property
-    def ndim(self) -> int:
-        return len(self.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,24 +179,6 @@ class GradientMap(_PlaneMap):
             raise ValidationError("gradient values must be finite")
 
 
-@dataclass(frozen=True, eq=False)
-class ClassOverlapStats:
-    """Per-class intersection I and union-sum U of a (label, probability) pair."""
-
-    intersection: np.ndarray
-    union_sum: np.ndarray
-
-    def __post_init__(self) -> None:
-        inter = np.array(self.intersection, dtype=np.float64)
-        union = np.array(self.union_sum, dtype=np.float64)
-        if inter.shape != union.shape or inter.ndim != 1:
-            raise ShapeMismatchError("intersection and union_sum must be 1-D, same length")
-        inter.setflags(write=False)
-        union.setflags(write=False)
-        object.__setattr__(self, "intersection", inter)
-        object.__setattr__(self, "union_sum", union)
-
-
 def require_same_grid(a: LabelMap | _PlaneMap, b: LabelMap | _PlaneMap) -> None:
     """Raise ShapeMismatchError unless both maps share grid and class set."""
     if a.shape != b.shape or a.classes != b.classes:
@@ -214,10 +194,10 @@ def overlap_sums(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (y * s).sum(axis=-1), (y + s).sum(axis=-1)
 
 
-def overlap_stats(y: LabelMap, s: ProbabilityMap) -> ClassOverlapStats:
-    """Per-class I = sum_i y*s and U = sum_i (y + s)."""
+def overlap_stats(y: LabelMap, s: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class (I, U) of a label and probability map on the same grid."""
     require_same_grid(y, s)
-    return ClassOverlapStats(*overlap_sums(y.values, s.values))
+    return overlap_sums(y.values, s.values)
 
 
 def _one_hot(idx: np.ndarray, total: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Minimal PFM and PGM file support.
 
 PFM: grayscale "Pf" variant, scale header "-1.0" (little-endian float32),
-scanlines stored bottom-to-top as in the common reference readers.
+scanlines stored bottom-to-top as in the common reference readers.  The writer
+takes 2-D planes whose values all fit float32: |v| <= float32 max, no NaN.
 
 PGM: binary "P5" with maxval 65535, two bytes per pixel, most significant
 byte first.
@@ -23,6 +24,8 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = ["write_atomic", "write_json", "write_pfm", "read_pfm", "write_pgm16", "read_pgm16"]
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def write_atomic(path: str | Path, data: bytes) -> Path:
@@ -50,10 +53,16 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
-    """Write a 2-D array as a grayscale little-endian PFM file."""
-    img = np.asarray(image, dtype=np.float32)
+    """Write a 2-D array as a grayscale little-endian PFM file.
+
+    Every value must satisfy |v| <= float32 max before the cast, so NaN and
+    infinities are rejected too; a rejected plane writes nothing.
+    """
+    img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ValidationError(f"PFM export needs a 2-D plane, got shape {img.shape}")
+    if not (np.abs(img) <= _FLOAT32_MAX).all():
+        raise ValidationError(f"{path}: PFM values must be finite with |v| <= {_FLOAT32_MAX:g} (float32 max)")
     height, width = img.shape
     header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
     write_atomic(path, header + np.flipud(img).astype("<f4").tobytes())

@@ -164,6 +164,16 @@ class _TrainState:
     log: RunLog = field(default_factory=list)
 
 
+def _mean_loss(values: list[float], epoch: int) -> float:
+    """The mean of batch or sample losses; an overflowing or non-finite mean
+    raises TrainingAbortError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss = float(np.mean(values))
+    if not np.isfinite(loss):
+        raise TrainingAbortError(f"non-finite training loss {loss} at epoch {epoch}")
+    return loss
+
+
 def _train_epoch(
     net: SegNet, state: _TrainState, train_set: list[Sample], val_set: list[Sample], cfg: ExperimentConfig
 ) -> None:
@@ -177,22 +187,21 @@ def _train_epoch(
         batch = [train_set[i] for i in order[start : start + cfg.batch_size]]
         if cfg.augment:
             batch = [augment(s, int(state.augment_rng.integers(0, 2**63))) for s in batch]
-        # Huge loss weights overflow in the losses, backward and the batch
-        # means: the gradient and batch-loss checks report it.  An overflowing
-        # step leaves non-finite parameters: the next forward reports them.
+        # Huge loss weights overflow in the losses, backward and the loss
+        # means: the gradient and loss checks report it.  An overflowing step
+        # leaves non-finite parameters: the next forward reports them.
         with np.errstate(over="ignore", invalid="ignore"):
             results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
-            batch_loss = float(np.mean([value for value, _ in results]))
-            if not np.isfinite(batch_loss):
-                raise TrainingAbortError(f"non-finite training loss {batch_loss} at epoch {epoch}")
+            batch_loss = _mean_loss([value for value, _ in results], epoch)
             grad = np.mean([g for _, g in results], axis=0)
             theta = (sgd_step if cfg.optimizer.kind == "sgd" else adam_step)(net.theta, grad, step_cfg, state.optimizer)
         net.set_params(theta)
         batch_losses.append(batch_loss)
 
+    epoch_loss = _mean_loss(batch_losses, epoch)
     per_class = _score(net, val_set, f"at epoch {epoch}")[0].mean(axis=0)
     mean_dsc = float(per_class.mean())
-    state.log.append(EpochRecord(epoch, float(np.mean(batch_losses)), tuple(float(v) for v in per_class), mean_dsc, step_cfg.eta))
+    state.log.append(EpochRecord(epoch, epoch_loss, tuple(float(v) for v in per_class), mean_dsc, step_cfg.eta))
     if mean_dsc > state.scheduler.best_metric:
         state.best_params = net.get_params()
         state.best_epoch = epoch

@@ -555,6 +555,8 @@ class TestBadInput:
             ({"dataset": 3}, "dataset"),
             ({"optimizer": {"kind": "rmsprop"}}, "kind"),
             ({"loss": {"kind": "tversky"}}, "kind"),
+            ({"output_dir": 0}, "output_dir"),
+            ({"output_dir": False}, "output_dir"),
         ],
         ids=[
             "epochs_not_int",
@@ -586,6 +588,8 @@ class TestBadInput:
             "dataset_not_object",
             "unknown_optimizer_kind",
             "unknown_loss_kind",
+            "output_dir_number",
+            "output_dir_false",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -708,14 +712,28 @@ class TestBadInput:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_huge_loss_weights_report_only_the_error_line(self, tmp_path, capsys):
-        data = tiny_config(epochs=1, loss="mime", output_dir=str(tmp_path / "run"))
-        data["loss"] |= {"a": 1e306, "b": 1e306}
+        # 1e306 overflows a batch loss; at 1e305 with one sample per batch
+        # every batch loss is finite and only the epoch mean overflows
+        for weight, batch_size in [(1e306, 2), (1e305, 1)]:
+            data = tiny_config(epochs=1, loss="mime", batch_size=batch_size, output_dir=str(tmp_path / f"run{batch_size}"))
+            data["loss"] |= {"a": weight, "b": weight}
+            cfg_path = write_config(tmp_path, data)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(["train", "--config", str(cfg_path)]) == 2
+            assert "non-finite training loss" in self.single_error_line(capsys)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_gradient_map_beyond_float32_reports_only_the_error_line(self, tmp_path, capsys):
+        data = tiny_config(epochs=0, loss="mime", output_dir=str(tmp_path / "run"))
+        data["loss"] |= {"a": 1e300, "b": 1e300}
         cfg_path = write_config(tmp_path, data)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["train", "--config", str(cfg_path)]) == 2
-        assert "non-finite training loss" in self.single_error_line(capsys)
+        assert "gradmap_mime_k" in self.single_error_line(capsys)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not list((tmp_path / "run").glob("*.pfm"))
 
     @pytest.mark.parametrize("value", [np.inf, 1e300, np.nan], ids=["inf", "huge", "nan"])
     def test_gradmap_of_a_blown_up_checkpoint_reports_only_the_error_line(self, tmp_path, capsys, value):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seglab import gradcheck
-from seglab.errors import OracleError, UndefinedRangeError, ValidationError
+from seglab.errors import OracleError, ShapeMismatchError, UndefinedRangeError, ValidationError
 from seglab.gradcheck import (
     FD_STEP,
     PROBE_BLOCK,
@@ -159,44 +159,52 @@ class TestTwoValued:
 
     def test_negative_tolerance_rejected(self):
         g = GradientMap(GridShape((1,)), ClassSet(1), np.zeros((2, 1)))
-        with pytest.raises(ValidationError):
-            audit_two_valued(g, tol=-1.0)
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                audit_two_valued(g, tol=tol)
 
 
 class TestBound:
     def test_worked_case_has_no_violations(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
         g = dice_grad(y, s)
-        assert audit_bound(g, overlap_stats(y, s)) == 0
+        assert audit_bound(g, y, s) == 0
 
     def test_1000_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             y, s = random_instance(rng, max_pixels=24)
             g = dice_grad(y, s)
-            assert audit_bound(g, overlap_stats(y, s)) == 0
+            assert audit_bound(g, y, s) == 0
 
     def test_scaled_gradient_is_caught(self):
         rng = np.random.default_rng(5)
         y, s = random_instance(rng)
         g = dice_grad(y, s)
         scaled = GradientMap(g.shape, g.classes, 10.0 * g.values)
-        assert audit_bound(scaled, overlap_stats(y, s)) > 0
+        assert audit_bound(scaled, y, s) > 0
 
     def test_limit_is_two_over_class_count_times_union(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             y, s = random_instance(rng)
-            stats = overlap_stats(y, s)
-            limit = 2.0 / (y.classes.total * (stats.union_sum + LossConfig.epsilon))
+            _, union = overlap_stats(y, s)
+            limit = 2.0 / (y.classes.total * (union + LossConfig.epsilon))
             factors = rng.choice([0.99, 1.01], size=s.values.shape)
             g = GradientMap(s.shape, s.classes, factors * limit[:, None])
-            assert audit_bound(g, stats) == int((factors > 1).sum())
+            assert audit_bound(g, y, s) == int((factors > 1).sum())
+
+    def test_gradient_on_another_grid_rejected(self):
+        y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
+        g = dice_grad(y, s)
+        square = GradientMap(GridShape((2, 2)), g.classes, g.values)
+        with pytest.raises(ShapeMismatchError):
+            audit_bound(square, y, s)
 
     def test_epsilon_is_keyword_only(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
         with pytest.raises(TypeError):
-            audit_bound(dice_grad(y, s), overlap_stats(y, s), 0.5)
+            audit_bound(dice_grad(y, s), y, s, 0.5)
 
 
 class TestDynamicRange:
@@ -262,6 +270,12 @@ class TestExport:
         fg_plane = read_pfm(paths[1])
         assert fg_plane[0, 0] == pytest.approx(-4 / 9 * 0.5, rel=1e-6)
         assert fg_plane[1, 0] == pytest.approx(2 / 9 * 0.5, rel=1e-6)
+
+    def test_1d_grid_rejected(self, tmp_path):
+        g = GradientMap(GridShape((4,)), ClassSet(1), np.zeros((2, 4)))
+        with pytest.raises(ValidationError):
+            export_gradient_map(g, tmp_path / "line")
+        assert not list(tmp_path.iterdir())
 
     def test_3d_grid_rejected(self, tmp_path):
         g = GradientMap(GridShape((2, 2, 2)), ClassSet(1), np.zeros((2, 8)))

@@ -96,22 +96,22 @@ class TestOverlapStats:
     def test_worked_binary_case(self):
         # foreground plane y=[1,1,0,0], s=[1,0,0,0]: I=1, U=3
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
-        stats = overlap_stats(y, s)
-        assert stats.intersection[1] == 1.0
-        assert stats.union_sum[1] == 3.0
+        inter, union = overlap_stats(y, s)
+        assert inter[1] == 1.0
+        assert union[1] == 3.0
 
     def test_identity_case(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 1, 0, 0])
-        stats = overlap_stats(y, s)
+        inter, union = overlap_stats(y, s)
         sizes = y.foreground_sizes()
-        assert np.array_equal(stats.intersection, sizes)
-        assert np.array_equal(stats.union_sum, 2 * sizes)
+        assert np.array_equal(inter, sizes)
+        assert np.array_equal(union, 2 * sizes)
 
     def test_disjoint_supports(self):
         y, s = binary_pair([1, 0], [0, 1])
-        stats = overlap_stats(y, s)
-        assert stats.intersection[1] == 0.0
-        assert stats.union_sum[1] == 2.0
+        inter, union = overlap_stats(y, s)
+        assert inter[1] == 0.0
+        assert union[1] == 2.0
 
     def test_mismatch_raises(self):
         y, _ = binary_pair([1, 0], [0, 1])
@@ -129,11 +129,11 @@ class TestOverlapStats:
             s = ProbabilityMap(
                 GridShape((pixels,)), classes, rng.uniform(0, 1, (classes.total, pixels))
             )
-            stats = overlap_stats(y, s)
-            assert (2.0 * stats.intersection <= stats.union_sum + 1e-12).all()
-            assert (stats.intersection >= 0).all()
+            inter, union = overlap_stats(y, s)
+            assert (2.0 * inter <= union + 1e-12).all()
+            assert (inter >= 0).all()
             upper = np.minimum(y.foreground_sizes(), s.values.sum(axis=1))
-            assert (stats.intersection <= upper + 1e-12).all()
+            assert (inter <= upper + 1e-12).all()
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -148,10 +148,10 @@ class TestOverlapStats:
         perm = rng.permutation(pixels)
         y_p = LabelMap(y.indices[perm], y.classes)
         s_p = ProbabilityMap(s.shape, s.classes, s.values[:, perm])
-        a = overlap_stats(y, s)
-        b = overlap_stats(y_p, s_p)
-        assert np.allclose(a.intersection, b.intersection, rtol=0, atol=1e-12)
-        assert np.allclose(a.union_sum, b.union_sum, rtol=0, atol=1e-12)
+        inter_a, union_a = overlap_stats(y, s)
+        inter_b, union_b = overlap_stats(y_p, s_p)
+        assert np.allclose(inter_a, inter_b, rtol=0, atol=1e-12)
+        assert np.allclose(union_a, union_b, rtol=0, atol=1e-12)
 
 
 class TestOneHot:

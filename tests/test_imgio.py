@@ -113,3 +113,18 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypat
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["img.pfm"]
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan], ids=["above_float32", "below_float32", "nan"])
+def test_pfm_value_beyond_float32_rejected_and_nothing_written(tmp_path, value):
+    path = tmp_path / "img.pfm"
+    with pytest.raises(ValidationError, match="img.pfm"):
+        write_pfm(path, np.array([[0.0, value]]))
+    assert os.listdir(tmp_path) == []
+
+
+def test_pfm_float32_extremes_round_trip(tmp_path):
+    top = np.finfo(np.float32).max
+    image = np.array([[top, -top], [0.0, 1.0]], dtype=np.float32)
+    write_pfm(tmp_path / "img.pfm", image)
+    assert np.array_equal(read_pfm(tmp_path / "img.pfm"), image)
