@@ -26,14 +26,15 @@ from .config import ExperimentConfig, config_from_dict, config_to_dict, load_con
 from .errors import ConfigError, SegLabError
 from .gradcheck import (
     GradAuditReport,
+    _bound_violations,
+    _central_differences,
+    _relative_error,
     audit_bound,
     audit_two_valued,
     dynamic_range_db,
-    finite_diff_grad,
-    max_relative_error,
 )
-from .grid import ClassSet, GridShape, LabelMap, ProbabilityMap
-from .losses import LOSS_IDS, combined_loss, combined_value, dice_grad
+from .grid import GradientMap, ProbabilityMap, _one_hot
+from .losses import LOSS_IDS, _checked_terms, _combined, dice_grad
 from .net import SegNet, forward, load_checkpoint, softmax
 from .optim import OPTIMIZER_KINDS
 from .synthdata import export_dataset, generate_split, split_of
@@ -69,17 +70,14 @@ AUDIT_TOLERANCE = 1e-5
 # --------------------------------------------------------------------------
 
 
-def _random_audit_instance(rng: np.random.Generator) -> tuple[LabelMap, ProbabilityMap]:
-    count_objects = int(rng.integers(1, 4))  # 2..4 planes including background
+def _random_audit_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Raw one-hot labels and uniform probabilities, both (total, pixels)."""
+    total = int(rng.integers(1, 4)) + 1  # 2..4 planes including background
     pixels = int(rng.integers(4, 65))
-    classes = ClassSet(count_objects)
-    labels = LabelMap(rng.integers(0, classes.total, size=pixels), classes)
-    probs = ProbabilityMap(
-        GridShape((pixels,)),
-        classes,
-        rng.uniform(0.05, 0.95, size=(classes.total, pixels)),
-    )
-    return labels, probs
+    labels = rng.integers(0, total, size=pixels)
+    sv = rng.uniform(0.05, 0.95, size=(total, pixels))
+    ProbabilityMap.check(sv)
+    return _one_hot(labels, total), sv
 
 
 def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAuditReport, bool]:
@@ -88,19 +86,28 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     Relative error is taken over every loss in AUDIT_TERM_SETS on random
     instances; the dice-specific audits run on those instances and on the
     probabilities a freshly initialized net assigns to one dataset sample.
+    The random instances stay raw arrays, as in the training step: each term
+    set is checked once, the analytic gradient comes from ``losses._combined``
+    and the numeric one from ``gradcheck._central_differences`` over its
+    values, both pass ``GradientMap.check``, and ``_relative_error`` and
+    ``_bound_violations`` audit them.  Only the dataset sample's label,
+    probabilities and dice gradient are maps.
     """
     rng = np.random.default_rng(cfg.seed)
     lcfg = cfg.loss_config()
     max_err = 0.0
     violations = 0
-    for terms in AUDIT_TERM_SETS:
+    for term_set in AUDIT_TERM_SETS:
+        terms = _checked_terms(term_set)
         for _ in range(AUDIT_TRIALS):
-            labels, probs = _random_audit_instance(rng)
-            _, analytic = combined_loss(terms, labels, probs, lcfg)
-            numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
-            max_err = max(max_err, max_relative_error(analytic, numeric))
-            if terms == (("dice", 1.0),):  # analytic is then dice_grad(labels, probs, lcfg)
-                violations += audit_bound(analytic, labels, probs, epsilon=lcfg.epsilon)
+            yv, sv = _random_audit_instance(rng)
+            analytic = _combined(terms, yv, sv, lcfg)[1]
+            GradientMap.check(analytic)
+            numeric = _central_differences(lambda p: _combined(terms, yv, p, lcfg, grad=False)[0], sv)
+            GradientMap.check(numeric)
+            max_err = max(max_err, _relative_error(analytic, numeric))
+            if term_set == (("dice", 1.0),):  # analytic is then the dice gradient at (yv, sv)
+                violations += _bound_violations(analytic, yv, sv, lcfg.epsilon)
 
     spec, init_seed, _, _ = _streams(cfg)
     sample = next(generate_split(spec, "val"))

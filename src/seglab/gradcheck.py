@@ -11,6 +11,14 @@ values per class plane, magnitudes below 2/(|K| * (U + eps)) per class, with
 dynamic range.  Gradient maps export one PFM plane per class; the PFM writer
 decides which planes it can hold.
 
+Three of the public functions are thin wrappers over private kernels on raw
+float64 arrays shaped ``(classes.total, pixel_count)``, which hold all of their
+arithmetic and value checks: ``_central_differences`` under ``finite_diff_grad``,
+``_relative_error`` under ``max_relative_error`` and ``_bound_violations``
+under ``audit_bound``.  The wrappers check the grids of their maps and wrap
+the result; ``cli.run_audit`` calls the kernels on its random instances, so
+it builds no map per instance.
+
 Dynamic range convention: 10 * log10(max |g| / min nonzero |g|), taken
 globally over all classes and pixels.
 
@@ -26,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
-from .grid import PROB_SLACK, GradientMap, LabelMap, ProbabilityMap, overlap_stats, require_same_grid
+from .grid import PROB_SLACK, GradientMap, LabelMap, ProbabilityMap, overlap_sums, require_same_grid
 from .imgio import write_json, write_pfm
 from .losses import LossConfig
 
@@ -70,10 +78,15 @@ def finite_diff_grad(
     A non-finite or wrongly shaped result raises OracleError naming the
     coordinate.
     """
+    return GradientMap(s.shape, s.classes, _central_differences(loss_fn, s.values, h))
+
+
+def _central_differences(loss_fn: Callable[[np.ndarray], np.ndarray], values: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """finite_diff_grad on the raw (classes.total, pixel_count) array of s."""
     if not h > 0:
         raise ValidationError(f"step size must be positive, got {h}")
-    shape = s.values.shape
-    flat = s.values.reshape(-1)
+    shape = values.shape
+    flat = values.reshape(-1)
     if flat.min() - h < -PROB_SLACK or flat.max() + h > 1.0 + PROB_SLACK:
         raise ValidationError(f"probes s +/- {h:g} leave [0, 1] by more than {PROB_SLACK:g}")
     coords = max(1, PROBE_BLOCK // (2 * flat.size))
@@ -84,18 +97,18 @@ def finite_diff_grad(
         probes = np.repeat(flat[None], 2 * n, axis=0)
         probes[np.arange(n), idx] = flat[idx] + h
         probes[np.arange(n, 2 * n), idx] = flat[idx] - h
-        values = np.asarray(loss_fn(probes.reshape(2 * n, *shape)), dtype=np.float64)
-        if values.shape != (2 * n,):
+        losses = np.asarray(loss_fn(probes.reshape(2 * n, *shape)), dtype=np.float64)
+        if losses.shape != (2 * n,):
             raise OracleError(
-                f"loss returned shape {values.shape} for {2 * n} probes starting at "
+                f"loss returned shape {losses.shape} for {2 * n} probes starting at "
                 f"coordinate {_coord(start, shape)}; expected ({2 * n},)"
             )
-        hi, lo = values[:n], values[n:]
-        if not np.isfinite(values).all():
+        hi, lo = losses[:n], losses[n:]
+        if not np.isfinite(losses).all():
             j = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
             raise OracleError(f"loss not finite at probe {_coord(idx[j], shape)}: {hi[j]}, {lo[j]}")
         grad[idx] = (hi - lo) / (2.0 * h)
-    return GradientMap(s.shape, s.classes, grad.reshape(shape))
+    return grad.reshape(shape)
 
 
 def _coord(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,9 +116,13 @@ def _coord(flat_index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def max_relative_error(analytic: GradientMap, numeric: GradientMap) -> float:
-    """max |a - n| / max(1, |a|, |n|) over all coordinates."""
-    a = analytic.values
-    n = numeric.values
+    """max |a - n| / max(1, |a|, |n|) over all coordinates; maps on different
+    grids or class sets raise ShapeMismatchError."""
+    require_same_grid(analytic, numeric)
+    return _relative_error(analytic.values, numeric.values)
+
+
+def _relative_error(a: np.ndarray, n: np.ndarray) -> float:
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
     return float((np.abs(a - n) / denom).max())
 
@@ -134,9 +151,15 @@ def audit_bound(g: GradientMap, y: LabelMap, s: ProbabilityMap, *, epsilon: floa
     ShapeMismatchError.
     """
     require_same_grid(y, g)
-    _, union = overlap_stats(y, s)
-    limit = 2.0 / g.classes.total / (union + epsilon) + BOUND_SLACK
-    return int((np.abs(g.values) > limit[:, None]).sum())
+    require_same_grid(y, s)
+    return _bound_violations(g.values, y.values, s.values, epsilon)
+
+
+def _bound_violations(g: np.ndarray, yv: np.ndarray, sv: np.ndarray, epsilon: float) -> int:
+    """audit_bound on raw arrays of one shape, (classes.total, pixel_count)."""
+    _, union = overlap_sums(yv, sv)
+    limit = 2.0 / g.shape[0] / (union + epsilon) + BOUND_SLACK
+    return int((np.abs(g) > limit[:, None]).sum())
 
 
 def dynamic_range_db(g: GradientMap) -> float:

@@ -2,9 +2,10 @@
 
 Everything here recomputes quantities with plain per-pixel loops, with the
 per-bin ClECE loop, for the net with the textbook im2col/col2im convolution,
-or for the synthetic data with full np.mgrid index arrays and one masked
-assignment per class, so the package's vectorized implementations are checked
-against an independent path.
+for the synthetic data with full np.mgrid index arrays and one masked
+assignment per class, or for the gradient audit with typed maps and the public
+functions, so the package's vectorized implementations are checked against an
+independent path.
 """
 from __future__ import annotations
 
@@ -14,7 +15,11 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from seglab.cli import AUDIT_TERM_SETS, AUDIT_TRIALS
+from seglab.config import ExperimentConfig
+from seglab.gradcheck import audit_bound, finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
+from seglab.losses import combined_loss, combined_value
 from seglab.metrics import BinStat
 from seglab.net import INPUT_CENTER, SegNet
 from seglab.synthdata import ACDC_INTENSITIES, MAX_GEOMETRY_RETRIES, PROMISE_INTENSITIES, DatasetSpec
@@ -38,6 +43,28 @@ def random_instance(
         rng.uniform(s_low, s_high, size=(classes.total, pixels)),
     )
     return labels, probs
+
+
+def audit_via_maps(cfg: ExperimentConfig) -> tuple[float, int]:
+    """The random-instance part of run_audit, over maps and public functions.
+
+    Draws the same AUDIT_TERM_SETS x AUDIT_TRIALS instances from the run seed
+    as LabelMap/ProbabilityMap pairs, and returns the max relative error of
+    combined_loss against finite_diff_grad of combined_value, and the dice set's
+    audit_bound violations.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    lcfg = cfg.loss_config()
+    max_err, violations = 0.0, 0
+    for terms in AUDIT_TERM_SETS:
+        for _ in range(AUDIT_TRIALS):
+            labels, probs = random_instance(rng)
+            _, analytic = combined_loss(terms, labels, probs, lcfg)
+            numeric = finite_diff_grad(lambda p: combined_value(terms, labels, p, lcfg), probs)
+            max_err = max(max_err, max_relative_error(analytic, numeric))
+            if terms == (("dice", 1.0),):
+                violations += audit_bound(analytic, labels, probs, epsilon=lcfg.epsilon)
+    return max_err, violations
 
 
 def one_hot(idx: np.ndarray, classes: ClassSet) -> np.ndarray:

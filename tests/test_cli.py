@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import seglab
-from seglab import grid, synthdata, train
+from seglab import grid, losses, synthdata, train
 from seglab.cli import (
     AUDIT_TERM_SETS,
     AUDIT_TRIALS,
@@ -31,6 +31,8 @@ from seglab.losses import LOSS_IDS, LossConfig, combined_loss
 from seglab.net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
 from seglab.optim import default_optimizer_config
 from seglab.synthdata import DatasetSpec, Sample, generate
+
+from .oracles import audit_via_maps
 
 PARITY = Path(__file__).resolve().parents[1] / "tools" / "parity_artifacts.py"
 
@@ -468,6 +470,30 @@ class TestCliCommands:
         # 2 * |K| * P probes per instance would be hundreds of maps
         assert len(built) <= 10 * AUDIT_TRIALS * len(AUDIT_TERM_SETS)
 
+    def test_audit_builds_maps_only_for_the_dataset_sample(self, tmp_path, monkeypatch):
+        built = count_maps_built(monkeypatch)
+        run_audit(config_from_dict(tiny_config()), tmp_path / "gradaudit.json")
+        # the sample's label, the net's probabilities and their dice gradient
+        assert len(built) <= 3
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["dice", "scaled_dice"])
+    def test_audit_matches_the_loop_over_maps(self, tmp_path, monkeypatch, seed, scale):
+        # a scaled dice gradient, the negative control, fails both audits alike
+        dice = losses._KERNELS["dice"]
+
+        def scaled(yv, sv, cfg, grad=True):
+            value, g = dice(yv, sv, cfg, grad)
+            return value, (scale * g if grad else None)
+
+        monkeypatch.setitem(losses._KERNELS, "dice", scaled)
+        cfg = config_from_dict(tiny_config(seed=seed))
+        report, _ = run_audit(cfg, tmp_path / "gradaudit.json")
+        max_err, violations = audit_via_maps(cfg)
+        assert report.max_rel_error == max_err
+        assert report.bound_violations == violations  # the dataset sample adds none
+        assert (violations > 0) == (scale > 1.0)
+
     @pytest.mark.skipif(not has_mallopt(), reason="the heap setting needs glibc's mallopt")
     def test_warm_audit_keeps_its_memory_mapped(self, tmp_path):
         # 3 faults with the heap setting; 9.8k without it, now that forward frees no 2.4 MB block
@@ -751,6 +777,20 @@ class TestBadInput:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # a finite block loads; its overflow is reported for the sample
         assert (str(ckpt) if not np.isfinite(value) else "acdc_like-val-0001") in line
+
+    def test_non_finite_audit_gradient_reports_only_the_error_line(self, tmp_path, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0, so a NaN error would pass the audit unless the gradient is checked
+        dice = losses._KERNELS["dice"]
+
+        def nan_grad(yv, sv, cfg, grad=True):
+            value, g = dice(yv, sv, cfg, grad)
+            return value, (np.full_like(g, np.nan) if grad else None)
+
+        monkeypatch.setitem(losses._KERNELS, "dice", nan_grad)
+        cfg_path = write_config(tmp_path, tiny_config())
+        assert main(["audit", "--config", str(cfg_path), "--out", str(tmp_path / "audit")]) == 2
+        assert "gradient values must be finite" in self.single_error_line(capsys)
+        assert not (tmp_path / "audit" / "gradaudit.json").exists()
 
     def test_compare_rejects_configs_sharing_an_output_dir(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -98,6 +98,24 @@ class TestFiniteDiff:
             finite_diff_grad(lambda p: 0.0, s, h=0.0)
 
 
+class TestRelativeError:
+    def test_worked_case(self):
+        classes = ClassSet(1)
+        a = GradientMap(GridShape((2,)), classes, np.array([[0.5, -4.0], [0.0, 2.0]]))
+        n = GradientMap(GridShape((2,)), classes, np.array([[0.0, -2.0], [0.25, 2.0]]))
+        assert max_relative_error(a, n) == 0.5
+
+    @pytest.mark.parametrize("dims", [(1,), (2, 2)], ids=["broadcast", "same_pixel_count"])
+    def test_maps_on_another_grid_rejected(self, dims):
+        classes = ClassSet(1)
+        a = GradientMap(GridShape((4,)), classes, np.zeros((2, 4)))
+        n = GradientMap(GridShape(dims), classes, np.ones((2, int(np.prod(dims)))))
+        with pytest.raises(ShapeMismatchError):
+            max_relative_error(a, n)
+        with pytest.raises(ShapeMismatchError):
+            max_relative_error(n, a)
+
+
 class TestAgainstLoop:
     """The stacked oracle reproduces the per-coordinate loop over maps bit for bit."""
 
