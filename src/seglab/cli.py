@@ -29,16 +29,15 @@ from .gradcheck import (
     _bound_violations,
     _central_differences,
     _relative_error,
-    audit_bound,
     audit_two_valued,
     dynamic_range_db,
 )
 from .grid import GradientMap, ProbabilityMap, _one_hot
-from .losses import LOSS_IDS, _checked_terms, _combined, dice_grad
-from .net import SegNet, forward, load_checkpoint, softmax
+from .losses import LOSS_IDS, _checked_terms, _combined, _dice
+from .net import SegNet, load_checkpoint
 from .optim import OPTIMIZER_KINDS
 from .synthdata import export_dataset, generate_split, split_of
-from .train import EpochRecord, RunResult, _export_gradient_maps, _streams, run_comparison, run_experiment
+from .train import EpochRecord, RunResult, _export_gradient_maps, _probabilities, _streams, run_comparison, run_experiment
 
 __all__ = [
     "ExperimentConfig",
@@ -90,8 +89,13 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     set is checked once, the analytic gradient comes from ``losses._combined``
     and the numeric one from ``gradcheck._central_differences`` over its
     values, both pass ``GradientMap.check``, and ``_relative_error`` and
-    ``_bound_violations`` audit them.  Only the dataset sample's label,
-    probabilities and dice gradient are maps.
+    ``_bound_violations`` audit them.  The dataset sample takes the engine's
+    checked path, ``train._probabilities``; its dice gradient comes from the
+    dice kernel ``losses._dice`` itself and is the one map the audit builds,
+    read by ``audit_two_valued`` and ``dynamic_range_db``, and its bound
+    violations are counted by ``_bound_violations``.  With the sample's label
+    that is two maps per call.  The report's directory is made just before
+    the report is written, so an audit that fails first leaves none.
     """
     rng = np.random.default_rng(cfg.seed)
     lcfg = cfg.loss_config()
@@ -111,19 +115,18 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
 
     spec, init_seed, _, _ = _streams(cfg)
     sample = next(generate_split(spec, "val"))
-    net = SegNet(spec.classes, seed=init_seed)
-    logits, _ = forward(net, sample.image)
-    probs = softmax(logits)
+    s, _ = _probabilities(SegNet(spec.classes, seed=init_seed), sample, "in the audit")
     label = sample.label
-    sample_grad = dice_grad(label, probs, lcfg)
+    sample_grad = GradientMap(label.shape, label.classes, _dice(label.values, s, lcfg)[1])
     distinct = audit_two_valued(sample_grad)
-    violations += audit_bound(sample_grad, label, probs, epsilon=lcfg.epsilon)
+    violations += _bound_violations(sample_grad.values, label.values, s, lcfg.epsilon)
     report = GradAuditReport(
         max_rel_error=max_err,
         distinct_values=tuple(distinct),
         bound_violations=violations,
         dynamic_range_db=dynamic_range_db(sample_grad),
     )
+    Path(report_path).parent.mkdir(parents=True, exist_ok=True)
     report.write(report_path)
     passed = (
         max_err < AUDIT_TOLERANCE
@@ -243,9 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "audit":
             cfg = _config_with_overrides(args)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            report, passed = run_audit(cfg, out / "gradaudit.json")
+            report, passed = run_audit(cfg, Path(args.out) / "gradaudit.json")
             print(
                 f"max_rel_error={report.max_rel_error:.3g} "
                 f"distinct={list(report.distinct_values)} "

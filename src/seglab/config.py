@@ -15,7 +15,9 @@ Configuration is a UTF-8 JSON file::
 Loss kinds: "ce", "dice", "nm", "mime" (optional "a"/"b", default 1.9/0.1) and
 "combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...], whose weights
 must be positive; only "combined" takes "terms".  A "loss" or "optimizer"
-given as a string names its kind.
+given as a string names its kind.  ``ExperimentConfig`` holds these rules, so
+a directly built config obeys them too: it stores terms only for "combined",
+and any other kind is its own single term.
 
 Each default is stated once, on a dataclass: top-level keys take the field
 defaults of ``ExperimentConfig``, dataset keys those of ``DatasetSpec`` (apart
@@ -45,7 +47,7 @@ __all__ = ["ExperimentConfig", "config_from_dict", "config_to_dict", "load_confi
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec(seed=None)
     loss_kind: str = "dice"
-    loss_terms: tuple[tuple[str, float], ...] = (("dice", 1.0),)
+    combined_terms: tuple[tuple[str, float], ...] | None = None  # only for loss_kind "combined"
     mime_a: float = LossConfig.mime_a
     mime_b: float = LossConfig.mime_b
     optimizer: OptimizerConfig = default_optimizer_config("adam")
@@ -62,16 +64,25 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'batch_size' must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be >= 0, got {self.seed}")
-        _checked_terms(self.loss_terms)
-        if not all(lam > 0 for _, lam in self.loss_terms):
-            raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.loss_terms)}")
+        if self.loss_kind not in (*LOSS_IDS, "combined"):
+            raise ConfigError(f"loss key 'kind' must be one of {(*LOSS_IDS, 'combined')}, got {self.loss_kind!r}")
+        if self.loss_kind == "combined":
+            if not all(lam > 0 for _, lam in _checked_terms(self.combined_terms or ())):
+                raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.combined_terms)}")
+        elif self.combined_terms is not None:
+            raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {self.loss_kind!r}")
         if any(lid == "nm" for lid, _ in self.loss_terms) and self.dataset.classes.count_objects < 2:
             raise ConfigError(
                 "nm loss requires a multi-class dataset (K >= 2); on binary tasks it "
                 "admits trivial all-foreground solutions"
             )
         if not (self.mime_a > 0 and self.mime_b > 0):
-            raise ConfigError(f"mime weights must be positive, got a={self.mime_a}, b={self.mime_b}")
+            raise ConfigError(f"loss keys 'a' and 'b' must be positive, got a={self.mime_a}, b={self.mime_b}")
+
+    @property
+    def loss_terms(self) -> tuple[tuple[str, float], ...]:
+        """The stored terms of a combined loss; any other kind is its own single term."""
+        return ((self.loss_kind, 1.0),) if self.combined_terms is None else self.combined_terms
 
     def loss_config(self) -> LossConfig:
         return LossConfig(mime_a=self.mime_a, mime_b=self.mime_b)
@@ -157,15 +168,8 @@ def _dataset(value) -> DatasetSpec:
 def _loss(value) -> dict:
     """The ExperimentConfig fields of a loss block."""
     loss = _read({"kind": value} if isinstance(value, str) else value, "loss", _LOSS)
-    kind = loss.pop("kind", ExperimentConfig.loss_kind)
-    if kind in LOSS_IDS:
-        if "terms" in loss:
-            raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {kind!r}")
-        loss["terms"] = ((kind, 1.0),)
-    elif kind != "combined":
-        raise ConfigError(f"loss key 'kind' must be one of {(*LOSS_IDS, 'combined')}, got {kind!r}")
-    terms = loss.pop("terms", ())
-    return {"loss_kind": kind, "loss_terms": terms, **{f"mime_{k}": v for k, v in loss.items()}}
+    renamed = {"kind": "loss_kind", "terms": "combined_terms", "a": "mime_a", "b": "mime_b"}
+    return {renamed[key]: v for key, v in loss.items()}
 
 
 def _optimizer(value) -> OptimizerConfig:
@@ -194,8 +198,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def config_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
     """Round-trip an ExperimentConfig to the JSON schema."""
     loss: dict = {"kind": cfg.loss_kind, "a": cfg.mime_a, "b": cfg.mime_b}
-    if cfg.loss_kind == "combined":
-        loss["terms"] = [[lid, lam] for lid, lam in cfg.loss_terms]
+    if cfg.combined_terms is not None:
+        loss["terms"] = [[lid, lam] for lid, lam in cfg.combined_terms]
     data = {
         "dataset": asdict(cfg.dataset) | {"image_size": list(cfg.dataset.image_size)},
         "loss": loss,

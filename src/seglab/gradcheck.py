@@ -17,7 +17,11 @@ arithmetic and value checks: ``_central_differences`` under ``finite_diff_grad``
 ``_relative_error`` under ``max_relative_error`` and ``_bound_violations``
 under ``audit_bound``.  The wrappers check the grids of their maps and wrap
 the result; ``cli.run_audit`` calls the kernels on its random instances, so
-it builds no map per instance.
+it builds no map per instance.  Its one dataset sample comes through the
+training engine's checked forward and softmax as a raw array, so the audit
+counts that sample's bound violations with ``_bound_violations`` too, and its
+dice gradient is the one ``GradientMap`` that ``audit_two_valued`` and
+``dynamic_range_db`` read.
 
 Dynamic range convention: 10 * log10(max |g| / min nonzero |g|), taken
 globally over all classes and pixels.

@@ -223,10 +223,10 @@ LOSS_IDS = tuple(LOSSES)
 def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
     terms = list(terms)
     if not terms:
-        raise ConfigError("combined loss needs at least one (loss id, weight) term")
+        raise ConfigError("loss key 'terms' needs at least one (loss id, weight) term")
     for loss_id, _ in terms:
         if loss_id not in LOSSES:
-            raise ConfigError(f"unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
+            raise ConfigError(f"loss key 'terms' names unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
     return terms
 
 

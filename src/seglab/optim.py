@@ -8,8 +8,9 @@ its state counts: ``AdamState.t`` is the number of updates taken.  Weight decay
 is an SGD-only setting and is ignored by adam_step.
 
 The scheduler halves the learning rate once the validation metric has failed
-to improve (strict increase) for `patience` consecutive epochs, then resets
-its counter; the best metric seen so far is kept.
+to improve (strict increase) for ``PATIENCE`` (20) consecutive epochs, then
+resets its counter; the best metric seen so far is kept.  Its state is the
+three values that change from epoch to epoch.
 """
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ __all__ = [
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 
+PATIENCE = 20  # epochs without improvement before the scheduler halves the rate
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -48,17 +51,16 @@ class OptimizerConfig:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValidationError(f"optimizer key 'kind' must be one of {OPTIMIZER_KINDS}, got {self.kind!r}")
         if not self.eta > 0:
-            raise ValidationError(f"learning rate must be positive, got {self.eta}")
+            raise ValidationError(f"optimizer key 'eta' must be positive, got {self.eta}")
         if not self.lam > 0:
             raise ValidationError(f"optimizer key 'lam' must be positive, got {self.lam}")
         if not self.weight_decay >= 0:
             raise ValidationError(f"optimizer key 'weight_decay' must be >= 0, got {self.weight_decay}")
         if not self.adam_eps > 0:
             raise ValidationError(f"optimizer key 'adam_eps' must be positive, got {self.adam_eps}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValidationError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
+        for key in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValidationError(f"optimizer key {key!r} must lie in [0, 1), got {getattr(self, key)}")
 
 
 def default_optimizer_config(kind: str) -> OptimizerConfig:
@@ -128,14 +130,9 @@ def adam_step(
 
 @dataclass(frozen=True)
 class SchedulerState:
-    patience: int = 20
     best_metric: float = float("-inf")
     epochs_since_improvement: int = 0
     current_eta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.patience < 1:
-            raise ValidationError(f"patience must be >= 1, got {self.patience}")
 
 
 def scheduler_step(state: SchedulerState, val_metric: float) -> SchedulerState:
@@ -145,6 +142,6 @@ def scheduler_step(state: SchedulerState, val_metric: float) -> SchedulerState:
     if val_metric > state.best_metric:
         return replace(state, best_metric=float(val_metric), epochs_since_improvement=0)
     count = state.epochs_since_improvement + 1
-    if count >= state.patience:
+    if count >= PATIENCE:
         return replace(state, epochs_since_improvement=0, current_eta=state.current_eta / 2.0)
     return replace(state, epochs_since_improvement=count)

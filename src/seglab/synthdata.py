@@ -83,15 +83,16 @@ class DatasetSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILIES:
-            raise ValidationError(f"unknown dataset kind {self.kind!r}")
+            raise ValidationError(f"dataset key 'kind' must be one of {tuple(_FAMILIES)}, got {self.kind!r}")
         size = tuple(int(d) for d in self.image_size)
         if len(size) != 2 or any(d < 1 for d in size):
-            raise ValidationError(f"image_size must be two positive ints, got {self.image_size}")
+            raise ValidationError(f"dataset key 'image_size' must be two positive ints, got {self.image_size}")
         object.__setattr__(self, "image_size", size)
-        if min(self.train, self.val, self.test) < 1:
-            raise ValidationError("each split needs at least one sample")
+        for split in SPLIT_NAMES:
+            if getattr(self, split) < 1:
+                raise ValidationError(f"dataset key {split!r} must be >= 1, got {getattr(self, split)}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValidationError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+            raise ValidationError(f"dataset key 'noise_sigma' must be finite and >= 0, got {self.noise_sigma}")
         if self.seed is not None and self.seed < 0:
             raise ValidationError(f"dataset key 'seed' must be >= 0, got {self.seed}")
 
@@ -190,7 +191,7 @@ def generate_split(spec: DatasetSpec, split: str) -> Iterator[Sample]:
         raise ValidationError("dataset seed must be set before generation")
     least = _FAMILIES[spec.kind][2]
     if min(spec.image_size) < least:
-        raise ValidationError(f"{spec.kind} needs images of at least {least}x{least}, got {spec.image_size}")
+        raise ValidationError(f"dataset key 'image_size': {spec.kind} needs images of at least {least}x{least}, got {spec.image_size}")
 
     child = np.random.SeedSequence(spec.seed).spawn(len(SPLIT_NAMES))[SPLIT_NAMES.index(split)]
     rng = np.random.default_rng(child)

@@ -10,15 +10,22 @@ optimizer's state (Adam's counts its own steps), the plateau scheduler (whose
 best metric is the best validation DSC so far), the best parameters and
 epoch, the epoch log, and the shuffle and augment generators.  ``_train_epoch`` advances it by one
 epoch.  Each training step, validation epoch, test pass and gradient-map
-export runs the same checked forward and softmax on raw arrays; only the
-export wraps its gradients in maps.  Validation and testing share one scoring
-loop.
+export, and the dataset sample of ``cli.run_audit``, runs the same checked
+forward and softmax on raw arrays, ``_probabilities``; only the export and
+the audit wrap their gradients in maps.  Validation and testing share one
+scoring loop.
 
-The train and validation splits are drawn as lists before training.  The test
-split is streamed: scored as it is drawn after training, so a run holds one
-test sample at a time.  The dataset's size and seed checks still run before
-training, at the first draw; a test sample whose geometry cannot be drawn now
-raises after training.
+The train and validation splits are drawn as lists before training, and
+before the output directory is made, so a dataset that cannot be drawn leaves
+no directory.  The test split is streamed: scored as it is drawn after
+training, so a run holds one test sample at a time.  The dataset's size and
+seed checks still run before training, at the first draw; a test sample
+whose geometry cannot be drawn now raises after training.
+
+``run_experiment`` returns a ``RunResult`` of what the caller does not
+already hold: the epoch log, the best epoch (None after zero epochs), the
+test metrics and the output directory.  The best validation DSC is
+``log[best_epoch].val_dsc_mean``, and the checkpoint header holds it too.
 
 Artifacts per training run: ``val_dsc.csv`` (header
 ``epoch,dsc_k1,...,dsc_kK,dsc_mean,lr``), ``test_metrics.json``, ``best.ckpt``
@@ -60,10 +67,8 @@ RunLog = list[EpochRecord]
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     log: RunLog
     best_epoch: int | None
-    best_val_dsc: float | None
     test_metrics: dict
     output_dir: Path
 
@@ -212,11 +217,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Train, validate, test, and write the run artifacts."""
     if cfg.output_dir is None:
         raise ConfigError("run_experiment needs an output_dir")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     spec, init_seed, shuffle_rng, augment_rng = _streams(cfg)
     train_set, val_set = (list(generate_split(spec, split)) for split in ("train", "val"))
+    # made after the first draws, so a dataset that cannot be drawn leaves no directory
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     net = SegNet(spec.classes, seed=init_seed)
     state = _TrainState(
         optimizer=(MomentumState if cfg.optimizer.kind == "sgd" else AdamState).fresh(net.param_count),
@@ -233,21 +238,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     _write_curve_csv(out / "val_dsc.csv", state.log, spec.classes.count_objects)
     write_json(out / "test_metrics.json", test_report)
-    best_val = None if state.best_epoch is None else state.scheduler.best_metric
     save_checkpoint(
         out / "best.ckpt",
         net,
         epoch=-1 if state.best_epoch is None else state.best_epoch,
-        best_val_dsc=best_val,
+        best_val_dsc=None if state.best_epoch is None else state.scheduler.best_metric,
         config=config_to_dict(cfg, include_output=False),
     )
     _export_gradient_maps(net, val_set[0], {cfg.loss_kind: cfg.loss_terms}, cfg.loss_config(), out)
 
     return RunResult(
-        config=cfg,
         log=state.log,
         best_epoch=state.best_epoch,
-        best_val_dsc=best_val,
         test_metrics=test_report,
         output_dir=out,
     )

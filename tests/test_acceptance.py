@@ -287,7 +287,7 @@ def test_criterion_7_optimizer_and_scheduler():
         if not np.array_equal(sgd_step(theta, grad, cfg, MomentumState.fresh(40)), reference):
             counterbalanced = False
 
-    state = SchedulerState(patience=20, current_eta=1e-2)
+    state = SchedulerState(current_eta=1e-2)
     state = scheduler_step(state, 0.5)
     halved_early = False
     for _ in range(19):

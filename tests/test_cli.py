@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +139,23 @@ class TestConfigParsing:
     def test_terms_only_for_combined(self, kind, terms):
         with pytest.raises(ConfigError, match="'terms'"):
             config_from_dict({"loss": {"kind": kind, "terms": terms}})
+
+    @pytest.mark.parametrize("kind", LOSS_IDS)
+    def test_a_single_kind_is_its_own_term(self, kind):
+        cfg = ExperimentConfig(loss_kind=kind)
+        assert cfg.loss_terms == ((kind, 1.0),)
+        assert cfg == config_from_dict(config_to_dict(cfg))
+
+    def test_direct_construction_obeys_the_loss_rules(self):
+        with pytest.raises(ConfigError, match="'kind'"):
+            ExperimentConfig(loss_kind="bogus")
+        with pytest.raises(ConfigError, match="'terms'"):
+            ExperimentConfig(loss_kind="ce", combined_terms=(("dice", 1.0),))
+        with pytest.raises(ConfigError, match="'terms'"):
+            ExperimentConfig(loss_kind="combined")
+        cfg = ExperimentConfig(loss_kind="combined", combined_terms=(("ce", 1.0), ("dice", 0.5)))
+        with pytest.raises(ConfigError, match="'terms'"):
+            replace(cfg, loss_kind="dice")
 
     def test_combined_round_trip_keeps_terms(self):
         cfg = config_from_dict({"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]]}})
@@ -473,8 +490,8 @@ class TestCliCommands:
     def test_audit_builds_maps_only_for_the_dataset_sample(self, tmp_path, monkeypatch):
         built = count_maps_built(monkeypatch)
         run_audit(config_from_dict(tiny_config()), tmp_path / "gradaudit.json")
-        # the sample's label, the net's probabilities and their dice gradient
-        assert len(built) <= 3
+        # the sample's label and its dice gradient; the probabilities stay a raw array
+        assert len(built) <= 2
 
     @pytest.mark.parametrize("seed", [0, 3, 17])
     @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["dice", "scaled_dice"])
@@ -583,6 +600,20 @@ class TestBadInput:
             ({"loss": {"kind": "tversky"}}, "kind"),
             ({"output_dir": 0}, "output_dir"),
             ({"output_dir": False}, "output_dir"),
+            ({"dataset": TINY_DATASET | {"train": 0}}, "train"),
+            ({"dataset": TINY_DATASET | {"val": 0}}, "val"),
+            ({"dataset": TINY_DATASET | {"test": 0}}, "test"),
+            ({"dataset": TINY_DATASET | {"kind": "foo"}}, "kind"),
+            ({"dataset": TINY_DATASET | {"image_size": [0, 64]}}, "image_size"),
+            ({"dataset": TINY_DATASET | {"image_size": [32, 32]}}, "image_size"),
+            ({"dataset": TINY_DATASET | {"noise_sigma": -1}}, "noise_sigma"),
+            ({"optimizer": {"kind": "adam", "eta": 0}}, "eta"),
+            ({"optimizer": {"kind": "sgd", "momentum": 1}}, "momentum"),
+            ({"optimizer": {"kind": "adam", "beta1": 1}}, "beta1"),
+            ({"optimizer": {"kind": "adam", "beta2": 1}}, "beta2"),
+            ({"loss": {"kind": "combined", "terms": []}}, "terms"),
+            ({"loss": {"kind": "combined", "terms": [["jaccard", 1]]}}, "terms"),
+            ({"loss": {"kind": "mime", "a": -1.9}}, "a"),
         ],
         ids=[
             "epochs_not_int",
@@ -616,6 +647,20 @@ class TestBadInput:
             "unknown_loss_kind",
             "output_dir_number",
             "output_dir_false",
+            "train_split_empty",
+            "val_split_empty",
+            "test_split_empty",
+            "unknown_dataset_kind",
+            "image_side_zero",
+            "image_side_too_small_for_kind",
+            "noise_sigma_negative",
+            "eta_zero",
+            "momentum_one",
+            "beta1_one",
+            "beta2_one",
+            "terms_empty",
+            "term_unknown_loss_id",
+            "mime_a_negative",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -668,6 +713,14 @@ class TestBadInput:
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 2
         assert "acdc_like" in self.single_error_line(capsys)
         assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_a_dataset_that_cannot_be_drawn_leaves_no_output_directory(self, tmp_path, capsys, command):
+        data = tiny_config(epochs=0, dataset={"kind": "promise_like", "image_size": [16, 16]})
+        cfg_path = write_config(tmp_path, data)
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        assert "promise_like" in self.single_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_gradmap_rejects_a_config_with_other_classes(self, tmp_path, capsys):
         data = tiny_config(epochs=0, dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 32]})

@@ -176,7 +176,7 @@ class TestAdam:
 
 class TestScheduler:
     def start(self, eta=1e-2):
-        return SchedulerState(patience=20, current_eta=eta)
+        return SchedulerState(current_eta=eta)
 
     def test_nineteen_flat_epochs_then_improvement(self):
         state = scheduler_step(self.start(), 0.5)
@@ -213,7 +213,3 @@ class TestScheduler:
     def test_non_finite_metric_rejected(self):
         with pytest.raises(ValidationError):
             scheduler_step(self.start(), float("nan"))
-
-    def test_patience_validation(self):
-        with pytest.raises(ValidationError):
-            SchedulerState(patience=0)
