@@ -72,8 +72,9 @@ class ExperimentConfig:
         elif self.combined_terms is not None:
             raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {self.loss_kind!r}")
         if any(lid == "nm" for lid, _ in self.loss_terms) and self.dataset.classes.count_objects < 2:
+            key = "kind" if self.loss_kind == "nm" else "terms"
             raise ConfigError(
-                "nm loss requires a multi-class dataset (K >= 2); on binary tasks it "
+                f"loss key {key!r}: nm loss requires a multi-class dataset (K >= 2); on binary tasks it "
                 "admits trivial all-foreground solutions"
             )
         if not (self.mime_a > 0 and self.mime_b > 0):

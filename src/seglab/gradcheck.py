@@ -93,14 +93,20 @@ def _central_differences(loss_fn: Callable[[np.ndarray], np.ndarray], values: np
     flat = values.reshape(-1)
     if flat.min() - h < -PROB_SLACK or flat.max() + h > 1.0 + PROB_SLACK:
         raise ValidationError(f"probes s +/- {h:g} leave [0, 1] by more than {PROB_SLACK:g}")
-    coords = max(1, PROBE_BLOCK // (2 * flat.size))
-    grad = np.empty(flat.size)
-    for start in range(0, flat.size, coords):
-        idx = np.arange(start, min(start + coords, flat.size))
-        n = idx.size
+    size = flat.size
+    coords = max(1, PROBE_BLOCK // (2 * size))
+    grad = np.empty(size)
+    for start in range(0, size, coords):
+        stop = min(start + coords, size)
+        n = stop - start
         probes = np.repeat(flat[None], 2 * n, axis=0)
-        probes[np.arange(n), idx] = flat[idx] + h
-        probes[np.arange(n, 2 * n), idx] = flat[idx] - h
+        # Viewed as (2, n * size), row 0 holds the +h probes and row 1 the -h
+        # probes; probe i moves coordinate start + i, which sits at
+        # start + i * (size + 1), so one strided slice per row reaches all n
+        # (the next step, start + n * (size + 1), is past n * size).
+        halves = probes.reshape(2, n * size)
+        halves[0, start :: size + 1] = flat[start:stop] + h
+        halves[1, start :: size + 1] = flat[start:stop] - h
         losses = np.asarray(loss_fn(probes.reshape(2 * n, *shape)), dtype=np.float64)
         if losses.shape != (2 * n,):
             raise OracleError(
@@ -110,8 +116,8 @@ def _central_differences(loss_fn: Callable[[np.ndarray], np.ndarray], values: np
         hi, lo = losses[:n], losses[n:]
         if not np.isfinite(losses).all():
             j = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))[0]
-            raise OracleError(f"loss not finite at probe {_coord(idx[j], shape)}: {hi[j]}, {lo[j]}")
-        grad[idx] = (hi - lo) / (2.0 * h)
+            raise OracleError(f"loss not finite at probe {_coord(start + j, shape)}: {hi[j]}, {lo[j]}")
+        grad[start:stop] = (hi - lo) / (2.0 * h)
     return grad.reshape(shape)
 
 

@@ -12,7 +12,10 @@ Their constructors take only this flat layout; ``planes()`` and ``plane(k)``
 read it back on the grid.  Class index 0 is always the background.
 
 ``overlap_stats`` returns the per-class intersection I and union sum U of a
-(label, probability) pair as a plain pair of arrays.
+(label, probability) pair as a plain pair of arrays.  ``overlap_sums``, under
+it and under the dice loss, reduces each class row of the raw arrays in one
+pass, with no temporary, and reduces a row of a probe stack as it reduces the
+same row of a map, so each probe's (I, U) equal the map's.
 """
 from __future__ import annotations
 
@@ -189,9 +192,10 @@ def require_same_grid(a: LabelMap | _PlaneMap, b: LabelMap | _PlaneMap) -> None:
 
 
 def overlap_sums(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class I = sum_i y*s and U = sum_i (y + s) over the last axis; ``s``
-    may carry leading axes, such as the probe axis of a probe stack."""
-    return (y * s).sum(axis=-1), (y + s).sum(axis=-1)
+    """Per-class I = sum_i y*s and U = sum_i y + sum_i s over the last axis;
+    ``s`` may carry leading axes, such as the probe axis of a probe stack.
+    I is one contraction, so nothing of the shape of ``s`` is built."""
+    return np.einsum("kp,...kp->...k", y, s), y.sum(axis=-1) + s.sum(axis=-1)
 
 
 def overlap_stats(y: LabelMap, s: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,17 @@ Each loss's value and gradient are computed once, by a private kernel on raw
 arrays: one-hot labels ``yv`` shaped ``(classes.total, pixel_count)`` and
 probabilities ``sv`` shaped like ``yv`` (or a probe stack, for the value
 alone).  A kernel returns ``(value, gradient)``; ``grad=False`` lets it skip
-the gradient and return None for it.  The dice kernel takes ``I`` and ``U``
-from one ``overlap_sums`` call for both.  The ce and nm values read only the
+the gradient and return None for it.  Every per-class sum over pixels is one
+contraction on the raw arrays, with no temporary shaped like the
+probabilities, and reduces each class row of a stack as it reduces that row
+of a map, so each stack value is the float the same probe gives as a map.
+The dice kernel takes ``I`` and ``U`` from one ``overlap_sums`` call for both
+and its gradient weights from ``_dice_weights``; the mime value sums
+``w * sv`` per class, then over classes.  The ce and nm values read only the
 labelled entry of each pixel, ``_labelled``: one log per pixel for ce, not one
 per class entry.  The labelled entries of a map and of each probe of a stack
-come out C-contiguous and in pixel order, so each stack value is still the
-float the same probe gives as a map.  ``_combined`` sums the kernels of a
+come out C-contiguous and in pixel order, so these values keep the same
+equality.  ``_combined`` sums the kernels of a
 term set; the public functions check the grid and wrap its result, and the
 training step calls it directly.
 """
@@ -78,16 +83,22 @@ class LossConfig:
 Probs = ProbabilityMap | np.ndarray
 
 
+def _dice_weights(intersection: np.ndarray, union_sum: np.ndarray, eps: float, total: int):
+    """Per-class weights (a, b) of the dice gradient, which is -a on the
+    class's foreground pixels and b off them: a = 2 (U - I) / (U + eps)^2 and
+    b = 2 I / (U + eps)^2, each times the loss's 1/|K| class average."""
+    class_avg = 1.0 / total
+    denom = (union_sum + eps) ** 2
+    return 2.0 * (union_sum - intersection) / denom * class_avg, 2.0 * intersection / denom * class_avg
+
+
 def _dice(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     intersection, union_sum = overlap_sums(yv, sv)
     value = (1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)).mean(axis=-1)
     if not grad:
         return value, None
-    class_avg = 1.0 / yv.shape[0]
-    denom = (union_sum + cfg.epsilon) ** 2
-    fg = -2.0 * (union_sum - intersection) / denom * class_avg
-    bg = 2.0 * intersection / denom * class_avg
-    return value, np.where(yv == 1.0, fg[:, None], bg[:, None])
+    a, b = _dice_weights(intersection, union_sum, cfg.epsilon, yv.shape[0])
+    return value, np.where(yv == 1.0, -a[:, None], b[:, None])
 
 
 def _labelled(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
@@ -111,7 +122,9 @@ def _mime_weights(yv: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     w = _mime_weights(yv, cfg.mime_a, cfg.mime_b)
-    return (w * sv).sum(axis=(-2, -1)), w
+    # per class first, then over classes: one contraction over both axes
+    # gives a stack a value that can differ from the map's in the last bit
+    return np.einsum("kp,...kp->...k", w, sv).sum(axis=-1), w
 
 
 def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):

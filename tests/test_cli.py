@@ -614,6 +614,11 @@ class TestBadInput:
             ({"loss": {"kind": "combined", "terms": []}}, "terms"),
             ({"loss": {"kind": "combined", "terms": [["jaccard", 1]]}}, "terms"),
             ({"loss": {"kind": "mime", "a": -1.9}}, "a"),
+            ({"loss": "nm", "dataset": TINY_DATASET | {"kind": "promise_like"}}, "kind"),
+            (
+                {"loss": {"kind": "combined", "terms": [["ce", 1], ["nm", 1]]}, "dataset": TINY_DATASET | {"kind": "promise_like"}},
+                "terms",
+            ),
         ],
         ids=[
             "epochs_not_int",
@@ -661,6 +666,8 @@ class TestBadInput:
             "terms_empty",
             "term_unknown_loss_id",
             "mime_a_negative",
+            "nm_on_binary_dataset",
+            "nm_term_on_binary_dataset",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):

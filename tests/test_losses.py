@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seglab.errors import ConfigError, ShapeMismatchError, ValidationError
-from seglab.gradcheck import finite_diff_grad, max_relative_error
+from seglab.gradcheck import PROBE_BLOCK, finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_stats
 from seglab.losses import (
     CE_CLAMP,
@@ -11,6 +11,7 @@ from seglab.losses import (
     ce_grad,
     ce_loss,
     combined_loss,
+    combined_value,
     dice_grad,
     dice_loss,
     mime_grad,
@@ -18,6 +19,7 @@ from seglab.losses import (
     mime_weights,
     nm_grad,
     nm_loss,
+    _dice_weights,
     _labelled,
 )
 
@@ -25,6 +27,12 @@ from .oracles import binary_pair, random_instance
 
 # Near-zero guard for comparisons against closed forms derived at eps -> 0.
 TINY_EPS = LossConfig(epsilon=1e-12)
+
+# Every value function that takes a probe stack, the loss table and ce+dice.
+STACK_VALUE_FNS = {
+    **{loss_id: pair[0] for loss_id, pair in LOSSES.items()},
+    "ce+dice": lambda y, s, cfg: combined_value([("ce", 1.0), ("dice", 1.0)], y, s, cfg),
+}
 
 
 def worked_case():
@@ -70,6 +78,16 @@ class TestDiceGrad:
         assert g.values[1, 0] == pytest.approx(-4 / 9 * class_avg, rel=1e-9)
         assert g.values[1, 1] == pytest.approx(-4 / 9 * class_avg, rel=1e-9)
         assert g.values[1, 2] == pytest.approx(2 / 9 * class_avg, rel=1e-9)
+
+    def test_weights_on_worked_case(self):
+        y, s = worked_case()
+        intersection, union = overlap_stats(y, s)
+        a, b = _dice_weights(intersection, union, TINY_EPS.epsilon, y.classes.total)
+        # background I=2, U=5: a = 2*3/25/2, b = 2*2/25/2; foreground I=1, U=3
+        assert a == pytest.approx([3 / 25, 2 / 9], rel=1e-9)
+        assert b == pytest.approx([2 / 25, 1 / 9], rel=1e-9)
+        g = dice_grad(y, s, TINY_EPS).values
+        assert np.array_equal(g, np.where(y.values == 1.0, -a[:, None], b[:, None]))
 
     def test_disjoint_background_gradient_is_exactly_zero(self):
         y, s = binary_pair([1, 0], [0, 1])
@@ -284,6 +302,22 @@ class TestLossTable:
             per_map = [value_fn(y, ProbabilityMap(y.shape, y.classes, p), cfg) for p in stack]
             assert np.array_equal(values, per_map)
             assert type(value_fn(y, s, cfg)) is float
+
+    @pytest.mark.parametrize("value_fn", STACK_VALUE_FNS.values(), ids=list(STACK_VALUE_FNS))
+    @pytest.mark.parametrize(
+        "objects, side, probes",
+        # one full PROBE_BLOCK stack of a 4-class 8x8 instance; 64x64 planes
+        [(3, 8, 2 * (PROBE_BLOCK // (2 * 4 * 8 * 8))), (1, 64, 7), (3, 64, 7)],
+        ids=["k4_8x8_full_block", "k2_64x64", "k4_64x64"],
+    )
+    def test_stack_values_equal_per_map_calls_at_oracle_sizes(self, value_fn, objects, side, probes):
+        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        rng = np.random.default_rng(side * 10 + objects)
+        y = LabelMap(rng.integers(0, objects + 1, (side, side)), ClassSet(objects))
+        stack = rng.uniform(0.0, 1.0, (probes, *y.values.shape))
+        values = value_fn(y, stack, cfg)
+        per_map = [value_fn(y, ProbabilityMap(y.shape, y.classes, p), cfg) for p in stack]
+        assert np.array_equal(values, per_map)
 
     @pytest.mark.parametrize("loss_id, pair", LOSSES.items(), ids=list(LOSSES))
     def test_stack_with_wrong_trailing_shape_rejected(self, loss_id, pair):
