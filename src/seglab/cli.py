@@ -12,7 +12,7 @@ Each command but ``gradmap`` reads experiment configs (:mod:`seglab.config`);
 the flags --loss, --opt, --seed and --out, where a command has them, override
 the corresponding config keys.  ``train`` and ``compare`` run the engine in :mod:`seglab.train`.  Bad
 input, a config or a path, ends as one ``error:`` line on stderr and exit
-code 2.
+code 2, and so does a ``MemoryError``.
 """
 from __future__ import annotations
 
@@ -85,17 +85,21 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     Relative error is taken over every loss in AUDIT_TERM_SETS on random
     instances; the dice-specific audits run on those instances and on the
     probabilities a freshly initialized net assigns to one dataset sample.
-    The random instances stay raw arrays, as in the training step: each term
-    set is checked once, the analytic gradient comes from ``losses._combined``
-    and the numeric one from ``gradcheck._central_differences`` over its
-    values, both pass ``GradientMap.check``, and ``_relative_error`` and
-    ``_bound_violations`` audit them.  The dataset sample takes the engine's
-    checked path, ``train._probabilities``; its dice gradient comes from the
-    dice kernel ``losses._dice`` itself and is the one map the audit builds,
-    read by ``audit_two_valued`` and ``dynamic_range_db``, and its bound
-    violations are counted by ``_bound_violations``.  With the sample's label
-    that is two maps per call.  The report's directory is made just before
-    the report is written, so an audit that fails first leaves none.
+    The random instances stay raw arrays, as in the training step: the
+    analytic gradient comes from ``losses._combined`` and the numeric one from
+    ``gradcheck._central_differences`` over its values, one probe stack and
+    so one value-only loss call per instance, and ``_bound_violations``
+    audits each dice instance.  Each term set's analytic and numeric
+    gradients over all its instances are then flattened into one array each,
+    which pass one ``GradientMap.check`` apiece, and one ``_relative_error``
+    compares them; its max equals the max of the per-instance errors.  The
+    dataset sample takes the engine's checked path, ``train._probabilities``;
+    its dice gradient comes from the dice kernel ``losses._dice`` itself and
+    is the one map the audit builds, read by ``audit_two_valued`` and
+    ``dynamic_range_db``, and its bound violations are counted by
+    ``_bound_violations``.  With the sample's label that is two maps per
+    call.  The report's directory is made just before the report is written,
+    so an audit that fails first leaves none.
     """
     rng = np.random.default_rng(cfg.seed)
     lcfg = cfg.loss_config()
@@ -103,15 +107,19 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     violations = 0
     for term_set in AUDIT_TERM_SETS:
         terms = _checked_terms(term_set)
+        analytic, numeric = [], []
         for _ in range(AUDIT_TRIALS):
             yv, sv = _random_audit_instance(rng)
-            analytic = _combined(terms, yv, sv, lcfg)[1]
-            GradientMap.check(analytic)
-            numeric = _central_differences(lambda p: _combined(terms, yv, p, lcfg, grad=False)[0], sv)
-            GradientMap.check(numeric)
-            max_err = max(max_err, _relative_error(analytic, numeric))
-            if term_set == (("dice", 1.0),):  # analytic is then the dice gradient at (yv, sv)
-                violations += _bound_violations(analytic, yv, sv, lcfg.epsilon)
+            g = _combined(terms, yv, sv, lcfg)[1]
+            analytic.append(g.reshape(-1))
+            numeric.append(_central_differences(lambda p: _combined(terms, yv, p, lcfg, grad=False)[0], sv).reshape(-1))
+            if term_set == (("dice", 1.0),):  # g is then the dice gradient at (yv, sv)
+                violations += _bound_violations(g, yv, sv, lcfg.epsilon)
+        # the max over all instances is the max of the per-instance maxima
+        a, n = np.concatenate(analytic), np.concatenate(numeric)
+        GradientMap.check(a)
+        GradientMap.check(n)
+        max_err = max(max_err, _relative_error(a, n))
 
     spec, init_seed, _, _ = _streams(cfg)
     sample = next(generate_split(spec, "val"))
@@ -259,8 +267,8 @@ def main(argv: list[str] | None = None) -> int:
             written = run_gradmap(args.checkpoint, args.sample, args.out)
             print(f"wrote {len(written)} gradient maps to {args.out}")
             return 0
-    except (SegLabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SegLabError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")
 

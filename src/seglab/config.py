@@ -26,6 +26,8 @@ of ``LossConfig`` and optimizer keys the reference values of
 ``default_optimizer_config`` for the kind.  The reader converts only the keys
 a file holds, through one table of converters per block; an unknown key, or a
 value its converter rejects, raises a ``ConfigError`` that names the key.
+So does a count beyond its upper bound: ``MAX_EPOCHS`` here, and the split
+and image-side bounds of ``synthdata``.
 """
 from __future__ import annotations
 
@@ -41,6 +43,9 @@ from .optim import OptimizerConfig, default_optimizer_config
 from .synthdata import DatasetSpec
 
 __all__ = ["ExperimentConfig", "config_from_dict", "config_to_dict", "load_config"]
+
+# At most this many epochs, so a run's length is bounded.
+MAX_EPOCHS = 10000
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,8 @@ class ExperimentConfig:
     output_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ConfigError(f"config key 'epochs' must be >= 0, got {self.epochs}")
+        if not 0 <= self.epochs <= MAX_EPOCHS:
+            raise ConfigError(f"config key 'epochs' must lie in [0, {MAX_EPOCHS}], got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"config key 'batch_size' must be >= 1, got {self.batch_size}")
         if self.seed < 0:

@@ -3,8 +3,9 @@
 The finite-difference oracle never calls any analytic gradient code; it only
 re-evaluates the forward loss at perturbed probabilities.  It hands the loss
 raw float64 stacks of probes shaped ``(n, classes.total, pixel_count)``, at
-most ``PROBE_BLOCK`` elements each, and expects ``n`` values back, so one call
-evaluates many probes in one array pass.  The audits quantify
+most ``PROBE_BLOCK`` (2^17) elements each, and expects ``n`` values back, so
+one call evaluates many probes in one array pass; the block is sized so that
+every random instance of ``cli.run_audit`` takes one stack.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
 values per class plane, magnitudes below 2/(|K| * (U + eps)) per class, with
 |K| and U read from the audited (label, probability) pair, and a narrow
@@ -17,7 +18,9 @@ arithmetic and value checks: ``_central_differences`` under ``finite_diff_grad``
 ``_relative_error`` under ``max_relative_error`` and ``_bound_violations``
 under ``audit_bound``.  The wrappers check the grids of their maps and wrap
 the result; ``cli.run_audit`` calls the kernels on its random instances, so
-it builds no map per instance.  Its one dataset sample comes through the
+it builds no map per instance, and checks each term set's gradients, all of
+its instances flattened into one array, with one ``GradientMap.check`` and
+one ``_relative_error``.  Its one dataset sample comes through the
 training engine's checked forward and softmax as a raw array, so the audit
 counts that sample's bound violations with ``_bound_violations`` too, and its
 dice gradient is the one ``GradientMap`` that ``audit_two_valued`` and
@@ -56,9 +59,11 @@ __all__ = [
 
 FD_STEP = 1e-5
 
-# Elements in one stack of probes handed to the loss: 256 KB of float64, which
-# bounds the oracle's working memory whatever the size of the map.
-PROBE_BLOCK = 1 << 15
+# Elements in one stack of probes handed to the loss: 1 MB of float64, which
+# bounds the oracle's working memory whatever the size of the map.  It is the
+# size of the largest random audit instance, 4 planes of 64 pixels, whose 512
+# probes of 256 values then take one stack and one loss call.
+PROBE_BLOCK = 1 << 17
 
 # Absolute slack added to the per-class bound before counting a violation.
 BOUND_SLACK = 1e-12

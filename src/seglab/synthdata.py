@@ -70,6 +70,12 @@ PROMISE_INTENSITIES = {0: 0.25, 1: 0.7}
 
 MAX_GEOMETRY_RETRIES = 50
 
+# Upper bounds of a spec.  A sample id carries a four-digit index, so a split
+# holds at most 9999 samples; at sides of 512, the four float64 class planes
+# of one acdc_like sample take 8 MB.
+MAX_SPLIT = 9999
+MAX_IMAGE_SIDE = 512
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -87,10 +93,12 @@ class DatasetSpec:
         size = tuple(int(d) for d in self.image_size)
         if len(size) != 2 or any(d < 1 for d in size):
             raise ValidationError(f"dataset key 'image_size' must be two positive ints, got {self.image_size}")
+        if max(size) > MAX_IMAGE_SIDE:
+            raise ValidationError(f"dataset key 'image_size' must be at most {MAX_IMAGE_SIDE} per side, got {size}")
         object.__setattr__(self, "image_size", size)
         for split in SPLIT_NAMES:
-            if getattr(self, split) < 1:
-                raise ValidationError(f"dataset key {split!r} must be >= 1, got {getattr(self, split)}")
+            if not 1 <= getattr(self, split) <= MAX_SPLIT:
+                raise ValidationError(f"dataset key {split!r} must lie in [1, {MAX_SPLIT}], got {getattr(self, split)}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValidationError(f"dataset key 'noise_sigma' must be finite and >= 0, got {self.noise_sigma}")
         if self.seed is not None and self.seed < 0:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import seglab
-from seglab import grid, losses, synthdata, train
+from seglab import cli, grid, losses, synthdata, train
 from seglab.cli import (
     AUDIT_TERM_SETS,
     AUDIT_TRIALS,
@@ -493,6 +493,19 @@ class TestCliCommands:
         # the sample's label and its dice gradient; the probabilities stay a raw array
         assert len(built) <= 2
 
+    def test_audit_takes_one_loss_call_per_random_instance(self, tmp_path, monkeypatch):
+        value_calls = []
+
+        def counted(terms, yv, sv, cfg, grad=True, _combined=cli._combined):
+            if not grad:
+                value_calls.append(sv.shape)
+            return _combined(terms, yv, sv, cfg, grad)
+
+        monkeypatch.setattr(cli, "_combined", counted)
+        run_audit(config_from_dict(tiny_config(seed=3)), tmp_path / "gradaudit.json")
+        # each instance's probes fit one PROBE_BLOCK stack, so one value-only call each
+        assert len(value_calls) == AUDIT_TRIALS * len(AUDIT_TERM_SETS) == 125
+
     @pytest.mark.parametrize("seed", [0, 3, 17])
     @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["dice", "scaled_dice"])
     def test_audit_matches_the_loop_over_maps(self, tmp_path, monkeypatch, seed, scale):
@@ -619,6 +632,13 @@ class TestBadInput:
                 {"loss": {"kind": "combined", "terms": [["ce", 1], ["nm", 1]]}, "dataset": TINY_DATASET | {"kind": "promise_like"}},
                 "terms",
             ),
+            ({"dataset": TINY_DATASET | {"train": 10000}}, "train"),
+            ({"dataset": TINY_DATASET | {"train": 2**70}}, "train"),
+            ({"dataset": TINY_DATASET | {"val": 1e308}}, "val"),
+            ({"dataset": TINY_DATASET | {"test": 10000}}, "test"),
+            ({"dataset": TINY_DATASET | {"image_size": [48, 513]}}, "image_size"),
+            ({"epochs": 10001}, "epochs"),
+            ({"epochs": 1e308}, "epochs"),
         ],
         ids=[
             "epochs_not_int",
@@ -668,6 +688,13 @@ class TestBadInput:
             "mime_a_negative",
             "nm_on_binary_dataset",
             "nm_term_on_binary_dataset",
+            "train_split_beyond_id_width",
+            "train_split_huge",
+            "val_split_huge_float",
+            "test_split_beyond_id_width",
+            "image_side_beyond_limit",
+            "epochs_beyond_limit",
+            "epochs_huge_float",
         ],
     )
     def test_bad_config_names_the_key(self, tmp_path, capsys, change, key):
@@ -714,6 +741,21 @@ class TestBadInput:
         (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
         assert main([arg.format(tmp=tmp_path, cfg=cfg_path) for arg in argv]) == 2
         self.single_error_line(capsys)
+
+    def test_generate_of_a_huge_split_writes_nothing(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(dataset=TINY_DATASET | {"train": 2**70}))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 2
+        assert "'train'" in self.single_error_line(capsys)
+        assert not (tmp_path / "data").exists()
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        cfg_path = write_config(tmp_path, tiny_config(epochs=0))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert self.single_error_line(capsys) == "error: out of memory"
 
     def test_generate_of_a_spec_that_cannot_be_drawn_writes_nothing(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(dataset=TINY_DATASET | {"image_size": [32, 32]}))

@@ -134,9 +134,9 @@ class TestAgainstLoop:
     @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
     def test_instance_larger_than_one_block(self, value_fn):
         rng = np.random.default_rng(13)
-        y = LabelMap(rng.integers(0, 4, 64), ClassSet(3))
-        s = ProbabilityMap(y.shape, y.classes, rng.uniform(0.05, 0.95, (4, 64)))
-        assert 2 * s.values.size**2 > PROBE_BLOCK  # its 512 probes of 256 values take several stacks
+        y = LabelMap(rng.integers(0, 4, 96), ClassSet(3))
+        s = ProbabilityMap(y.shape, y.classes, rng.uniform(0.05, 0.95, (4, 96)))
+        assert 2 * s.values.size**2 > PROBE_BLOCK  # its 768 probes of 384 values take several stacks
         cfg = LossConfig()
         stacked = finite_diff_grad(lambda p: value_fn(y, p, cfg), s, 1e-4)
         looped = finite_diff_loop(lambda m: value_fn(y, m, cfg), s, 1e-4)
