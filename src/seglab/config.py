@@ -119,8 +119,10 @@ def _read(data, name: str, converters: dict) -> dict:
 
 
 def _as_int(value) -> int:
-    """A JSON integer, or a float without a fractional part; booleans are not integers."""
-    if isinstance(value, float) and value.is_integer():
+    """A JSON integer, or a float without a fractional part and of magnitude at
+    most 2**53, above which a float is not an exact integer; booleans are not
+    integers."""
+    if isinstance(value, float) and value.is_integer() and abs(value) <= 2**53:
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError("expected an integer")

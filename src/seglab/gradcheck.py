@@ -4,8 +4,7 @@ The finite-difference oracle never calls any analytic gradient code; it only
 re-evaluates the forward loss at perturbed probabilities.  It hands the loss
 raw float64 stacks of probes shaped ``(n, classes.total, pixel_count)``, at
 most ``PROBE_BLOCK`` (2^17) elements each, and expects ``n`` values back, so
-one call evaluates many probes in one array pass; the block is sized so that
-every random instance of ``cli.run_audit`` takes one stack.  The audits quantify
+one call evaluates many probes in one array pass.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
 values per class plane, magnitudes below 2/(|K| * (U + eps)) per class, with
 |K| and U read from the audited (label, probability) pair, and a narrow
@@ -17,14 +16,7 @@ float64 arrays shaped ``(classes.total, pixel_count)``, which hold all of their
 arithmetic and value checks: ``_central_differences`` under ``finite_diff_grad``,
 ``_relative_error`` under ``max_relative_error`` and ``_bound_violations``
 under ``audit_bound``.  The wrappers check the grids of their maps and wrap
-the result; ``cli.run_audit`` calls the kernels on its random instances, so
-it builds no map per instance, and checks each term set's gradients, all of
-its instances flattened into one array, with one ``GradientMap.check`` and
-one ``_relative_error``.  Its one dataset sample comes through the
-training engine's checked forward and softmax as a raw array, so the audit
-counts that sample's bound violations with ``_bound_violations`` too, and its
-dice gradient is the one ``GradientMap`` that ``audit_two_valued`` and
-``dynamic_range_db`` read.
+the result.
 
 Dynamic range convention: 10 * log10(max |g| / min nonzero |g|), taken
 globally over all classes and pixels.

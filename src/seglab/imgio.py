@@ -31,12 +31,16 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 def write_atomic(path: str | Path, data: bytes) -> Path:
     """Write every seglab artifact: a temp file in the same directory, then os.replace.
 
-    An exception leaves the previous file in place and no temp file behind; a
+    The writer makes the file's directory, with its parents, so a command
+    that fails before its first write leaves no directory; only ``segLab
+    train`` makes its output directory earlier, before training.  An
+    exception leaves the previous file in place and no temp file behind; a
     killed process may leave the temp file but never a partial file at path.
     Not fsynced, so a power loss is not covered.  The temp name holds the
     process id: one writer per path at a time.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:

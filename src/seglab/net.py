@@ -266,7 +266,9 @@ def forward(net: SegNet, image: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over axis 0 of a raw logit array, with the max shift; a new array shaped like z."""
-    s = z - z.max(axis=0, keepdims=True)
+    # a shift that overflows gives -inf, whose exp is the right value, 0
+    with np.errstate(over="ignore"):
+        s = z - z.max(axis=0, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=0, keepdims=True)
     return s

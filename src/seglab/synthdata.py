@@ -268,9 +268,7 @@ def export_dataset(spec: DatasetSpec, out_dir: str | Path) -> Path:
     for split in SPLIT_NAMES:
         ids = []
         for sample in generate_split(spec, split):
-            # made at the first write, so a spec that cannot be drawn leaves no directory
             for sub, values in (("images", np.round(sample.image * 65535.0)), ("labels", sample.label.indices)):
-                (out / sub).mkdir(parents=True, exist_ok=True)
                 write_pgm16(out / sub / f"{sample.id}.pgm", values)
             ids.append(sample.id)
         manifest["splits"][split] = ids

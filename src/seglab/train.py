@@ -23,8 +23,8 @@ seed checks still run before training, at the first draw; a test sample
 whose geometry cannot be drawn now raises after training.
 
 ``run_experiment`` returns a ``RunResult`` of what the caller does not
-already hold: the epoch log, the best epoch (None after zero epochs), the
-test metrics and the output directory.  The best validation DSC is
+already hold: the epoch log, the best epoch (None after zero epochs) and the
+test metrics.  The best validation DSC is
 ``log[best_epoch].val_dsc_mean``, and the checkpoint header holds it too.
 
 Artifacts per training run: ``val_dsc.csv`` (header
@@ -43,7 +43,7 @@ import numpy as np
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, TrainingAbortError
 from .gradcheck import export_gradient_map
-from .grid import GradientMap, ProbabilityMap, _one_hot
+from .grid import GradientMap, _one_hot
 from .imgio import write_atomic, write_json
 from .losses import LossConfig, _combined
 from .metrics import DEFAULT_BINS, _argmax_dsc, _clece_cells
@@ -70,7 +70,6 @@ class RunResult:
     log: RunLog
     best_epoch: int | None
     test_metrics: dict
-    output_dir: Path
 
 
 def _streams(cfg: ExperimentConfig) -> tuple[DatasetSpec, int, np.random.Generator, np.random.Generator]:
@@ -91,7 +90,6 @@ def _probabilities(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray, 
     if not np.isfinite(logits).all():
         raise TrainingAbortError(f"non-finite logits {when} on sample {sample.id}")
     s = _softmax(logits.reshape(logits.shape[0], -1))
-    ProbabilityMap.check(s)
     return s, cache
 
 
@@ -104,7 +102,8 @@ def _sample_loss_grad(
 ) -> tuple[float, np.ndarray]:
     s, cache = _probabilities(net, sample, f"at epoch {epoch}")
     value, grad_s = _combined(terms, _one_hot(sample.label.indices, s.shape[0]), s, lcfg)
-    GradientMap.check(grad_s)
+    if not np.isfinite(grad_s).all():
+        raise TrainingAbortError(f"non-finite loss gradient at epoch {epoch} on sample {sample.id}")
     grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
     return float(value), backward(net, cache, grad_z)
 
@@ -219,7 +218,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("run_experiment needs an output_dir")
     spec, init_seed, shuffle_rng, augment_rng = _streams(cfg)
     train_set, val_set = (list(generate_split(spec, split)) for split in ("train", "val"))
-    # made after the first draws, so a dataset that cannot be drawn leaves no directory
+    # Made after the first draws, so a dataset that cannot be drawn leaves no
+    # directory, and before training, so an unusable output_dir fails before
+    # the epochs are spent rather than after them.
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     net = SegNet(spec.classes, seed=init_seed)
@@ -251,7 +252,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         log=state.log,
         best_epoch=state.best_epoch,
         test_metrics=test_report,
-        output_dir=out,
     )
 
 
@@ -287,7 +287,6 @@ def run_comparison(cfgs: list[ExperimentConfig], out_dir: str | Path) -> tuple[P
     for i, path in enumerate(resolved):
         if path in resolved[:i]:
             raise ConfigError(f"compared configs share the output directory {cfgs[i].output_dir}")
-    out.mkdir(parents=True, exist_ok=True)
     results = [run_experiment(cfg) for cfg in cfgs]
 
     count_objects = cfgs[0].dataset.classes.count_objects

@@ -771,6 +771,23 @@ class TestBadInput:
         assert "promise_like" in self.single_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_compare_of_a_dataset_that_cannot_be_drawn_leaves_no_output_directory(self, tmp_path, capsys):
+        dataset = {"kind": "promise_like", "image_size": [16, 16]}
+        paths = [write_config(tmp_path, tiny_config(loss, epochs=0, dataset=dataset), f"{loss}.json") for loss in ("dice", "ce")]
+        assert main(["compare", "--configs", *map(str, paths), "--out", str(tmp_path / "out")]) == 2
+        assert "promise_like" in self.single_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_gradmap_of_overflowing_logits_leaves_no_output_directory(self, tmp_path, capsys):
+        net = SegNet(ClassSet(3), seed=0)
+        net.set_params(np.full(net.param_count, 1e200))
+        config = config_to_dict(config_from_dict(tiny_config(epochs=0)), include_output=False)
+        ckpt = save_checkpoint(tmp_path / "net.ckpt", net, epoch=0, config=config)
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        assert "non-finite logits" in self.single_error_line(capsys)
+        assert not (tmp_path / "maps").exists()
+
     def test_gradmap_rejects_a_config_with_other_classes(self, tmp_path, capsys):
         data = tiny_config(epochs=0, dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 32]})
         assert main(["train", "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "run")]) == 0
@@ -851,6 +868,29 @@ class TestBadInput:
                 assert main(["train", "--config", str(cfg_path)]) == 2
             assert "non-finite training loss" in self.single_error_line(capsys)
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_loss_gradient_names_epoch_and_sample(self, tmp_path, capsys):
+        data = tiny_config(epochs=1, output_dir=str(tmp_path / "run"))
+        data["loss"] = {"kind": "combined", "terms": [["mime", 1e308]]}
+        cfg_path = write_config(tmp_path, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg_path)]) == 2
+        line = self.single_error_line(capsys)
+        assert "loss gradient" in line and "epoch 0" in line and "acdc_like-train-" in line
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_huge_integral_float_is_quoted_as_written(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, tiny_config(dataset=TINY_DATASET | {"val": 1e308}))
+        assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 2
+        line = self.single_error_line(capsys)
+        assert "'val'" in line and "1e+308" in line and len(line) < 200
+        assert not (tmp_path / "data").exists()
+
+    def test_integral_floats_are_exact_only_up_to_2_to_the_53(self):
+        assert config_from_dict({"seed": float(2**53)}).seed == 2**53
+        with pytest.raises(ConfigError, match="'seed'.*expected an integer"):
+            config_from_dict({"seed": float(2**53 + 2)})
 
     def test_gradient_map_beyond_float32_reports_only_the_error_line(self, tmp_path, capsys):
         data = tiny_config(epochs=0, loss="mime", output_dir=str(tmp_path / "run"))

@@ -136,6 +136,11 @@ class TestSoftmax:
         s = softmax(rng.normal(0, 10, (4, 6, 6)))
         assert np.abs(s.values.sum(axis=0) - 1.0).max() <= 1e-6
 
+    def test_overflowing_shift_is_quiet_and_exact(self):
+        # 1e308 - (-1e308) overflows to -inf after the max shift; its exp is 0
+        s = softmax(np.array([[1e308], [-1e308]]))
+        assert np.array_equal(s.values, [[1.0], [0.0]])
+
 
 class TestSoftmaxBackward:
     def test_constant_upstream_is_tangent(self):
