@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,18 +101,18 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     call.
     """
     rng = np.random.default_rng(cfg.seed)
-    lcfg = cfg.loss_config()
+    loss = cfg.loss
     max_err = 0.0
     violations = 0
     for terms in AUDIT_TERM_SETS:
         analytic, numeric = [], []
         for _ in range(AUDIT_TRIALS):
             yv, sv = _random_audit_instance(rng)
-            g = _combined(terms, yv, sv, lcfg)[1]
+            g = _combined(terms, yv, sv, loss)[1]
             analytic.append(g.reshape(-1))
-            numeric.append(_central_differences(lambda p: _combined(terms, yv, p, lcfg, grad=False)[0], sv).reshape(-1))
+            numeric.append(_central_differences(lambda p: _combined(terms, yv, p, loss, grad=False)[0], sv).reshape(-1))
             if terms == (("dice", 1.0),):  # g is then the dice gradient at (yv, sv)
-                violations += _bound_violations(g, yv, sv, lcfg.epsilon)
+                violations += _bound_violations(g, yv, sv, loss.epsilon)
         # the max over all instances is the max of the per-instance maxima
         a, n = np.concatenate(analytic), np.concatenate(numeric)
         GradientMap.check(a)
@@ -122,9 +123,9 @@ def run_audit(cfg: ExperimentConfig, report_path: str | Path) -> tuple[GradAudit
     sample = next(generate_split(spec, "val"))
     s, _ = _probabilities(SegNet(spec.classes, seed=init_seed), sample, "in the audit")
     label = sample.label
-    sample_grad = GradientMap(label.shape, label.classes, _dice(label.values, s, lcfg)[1])
+    sample_grad = GradientMap(label.shape, label.classes, _dice(label.values, s, loss)[1])
     distinct = audit_two_valued(sample_grad)
-    violations += _bound_violations(sample_grad.values, label.values, s, lcfg.epsilon)
+    violations += _bound_violations(sample_grad.values, label.values, s, loss.epsilon)
     report = GradAuditReport(
         max_rel_error=max_err,
         distinct_values=tuple(distinct),
@@ -165,7 +166,8 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
     sample = None if split is None else next((s for s in generate_split(spec, split) if s.id == sample_id), None)
     if sample is None:
         raise ConfigError(f"sample id {sample_id!r} not found in the configured dataset")
-    return _export_gradient_maps(net, sample, {lid: ((lid, 1.0),) for lid in LOSS_IDS}, cfg.loss_config(), Path(out_dir))
+    losses = [replace(cfg.loss, kind=lid, terms=None) for lid in LOSS_IDS]
+    return _export_gradient_maps(net, sample, losses, Path(out_dir))
 
 
 # --------------------------------------------------------------------------

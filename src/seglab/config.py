@@ -15,14 +15,19 @@ Configuration is a UTF-8 JSON file::
 Loss kinds: "ce", "dice", "nm", "mime" (optional "a"/"b", default 1.9/0.1) and
 "combined" with "terms": [["ce", 1.0], ["dice", 1.0], ...], whose weights
 must be positive; only "combined" takes "terms".  A "loss" or "optimizer"
-given as a string names its kind.  ``ExperimentConfig`` holds these rules, so
-a directly built config obeys them too: it stores terms only for "combined",
-and any other kind is its own single term.
+given as a string names its kind.
+
+Each block is one frozen dataclass with a field per key, and each top-level
+key is one field of ``ExperimentConfig``: "dataset" is a
+``DatasetSpec``, "loss" a ``losses.LossConfig`` and "optimizer" an
+``OptimizerConfig``.  Each dataclass checks its own rules, so a directly built
+config obeys them too; ``ExperimentConfig`` checks its own keys and the one
+rule that spans blocks: no "nm" term on a dataset with one object class.
 
 Each default is stated once, on a dataclass: top-level keys take the field
 defaults of ``ExperimentConfig``, dataset keys those of ``DatasetSpec`` (apart
-from the seed, whose null is derived from the run seed), the mime "a"/"b" those
-of ``LossConfig`` and optimizer keys the reference values of
+from the seed, whose null is derived from the run seed), loss keys those of
+``LossConfig`` and optimizer keys the reference values of
 ``default_optimizer_config`` for the kind.  The reader converts only the keys
 a file holds, through one table of converters per block; an unknown key, or a
 value its converter rejects, raises a ``ConfigError`` that names the key.
@@ -38,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SegLabError
-from .losses import LOSS_IDS, LossConfig, _checked_terms
+from .losses import LossConfig
 from .optim import OptimizerConfig, default_optimizer_config
 from .synthdata import DatasetSpec
 
@@ -51,10 +56,7 @@ MAX_EPOCHS = 10000
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetSpec = DatasetSpec(seed=None)
-    loss_kind: str = "dice"
-    combined_terms: tuple[tuple[str, float], ...] | None = None  # only for loss_kind "combined"
-    mime_a: float = LossConfig.mime_a
-    mime_b: float = LossConfig.mime_b
+    loss: LossConfig = LossConfig()
     optimizer: OptimizerConfig = default_optimizer_config("adam")
     epochs: int = 60
     batch_size: int = 1
@@ -69,29 +71,12 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'batch_size' must be >= 1, got {self.batch_size}")
         if self.seed < 0:
             raise ConfigError(f"config key 'seed' must be >= 0, got {self.seed}")
-        if self.loss_kind not in (*LOSS_IDS, "combined"):
-            raise ConfigError(f"loss key 'kind' must be one of {(*LOSS_IDS, 'combined')}, got {self.loss_kind!r}")
-        if self.loss_kind == "combined":
-            if not all(lam > 0 for _, lam in _checked_terms(self.combined_terms or ())):
-                raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.combined_terms)}")
-        elif self.combined_terms is not None:
-            raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {self.loss_kind!r}")
-        if any(lid == "nm" for lid, _ in self.loss_terms) and self.dataset.classes.count_objects < 2:
-            key = "kind" if self.loss_kind == "nm" else "terms"
+        if any(lid == "nm" for lid, _ in self.loss.loss_terms) and self.dataset.classes.count_objects < 2:
+            key = "kind" if self.loss.kind == "nm" else "terms"
             raise ConfigError(
                 f"loss key {key!r}: nm loss requires a multi-class dataset (K >= 2); on binary tasks it "
                 "admits trivial all-foreground solutions"
             )
-        if not (self.mime_a > 0 and self.mime_b > 0):
-            raise ConfigError(f"loss keys 'a' and 'b' must be positive, got a={self.mime_a}, b={self.mime_b}")
-
-    @property
-    def loss_terms(self) -> tuple[tuple[str, float], ...]:
-        """The stored terms of a combined loss; any other kind is its own single term."""
-        return ((self.loss_kind, 1.0),) if self.combined_terms is None else self.combined_terms
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(mime_a=self.mime_a, mime_b=self.mime_b)
 
 
 def _read(data, name: str, converters: dict) -> dict:
@@ -173,11 +158,8 @@ def _dataset(value) -> DatasetSpec:
     return replace(ExperimentConfig.dataset, **_read(value, "dataset", _DATASET))
 
 
-def _loss(value) -> dict:
-    """The ExperimentConfig fields of a loss block."""
-    loss = _read({"kind": value} if isinstance(value, str) else value, "loss", _LOSS)
-    renamed = {"kind": "loss_kind", "terms": "combined_terms", "a": "mime_a", "b": "mime_b"}
-    return {renamed[key]: v for key, v in loss.items()}
+def _loss(value) -> LossConfig:
+    return replace(ExperimentConfig.loss, **_read({"kind": value} if isinstance(value, str) else value, "loss", _LOSS))
 
 
 def _optimizer(value) -> OptimizerConfig:
@@ -199,15 +181,14 @@ _CONFIG = {
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a validated ExperimentConfig from the JSON schema above; bad keys raise ConfigError."""
-    values = _read(data, "config", _CONFIG)
-    return ExperimentConfig(**values.pop("loss", {}), **values)
+    return ExperimentConfig(**_read(data, "config", _CONFIG))
 
 
 def config_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
     """Round-trip an ExperimentConfig to the JSON schema."""
-    loss: dict = {"kind": cfg.loss_kind, "a": cfg.mime_a, "b": cfg.mime_b}
-    if cfg.combined_terms is not None:
-        loss["terms"] = [[lid, lam] for lid, lam in cfg.combined_terms]
+    loss: dict = {"kind": cfg.loss.kind, "a": cfg.loss.a, "b": cfg.loss.b}
+    if cfg.loss.terms is not None:
+        loss["terms"] = [[lid, lam] for lid, lam in cfg.loss.terms]
     data = {
         "dataset": asdict(cfg.dataset) | {"image_size": list(cfg.dataset.image_size)},
         "loss": loss,

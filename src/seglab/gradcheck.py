@@ -8,8 +8,9 @@ one call evaluates many probes in one array pass.  The audits quantify
 the structure the dice gradient is supposed to have: at most two distinct
 values per class plane, magnitudes below 2/(|K| * (U + eps)) per class, with
 |K| and U read from the audited (label, probability) pair, and a narrow
-dynamic range.  Gradient maps export one PFM plane per class; the PFM writer
-decides which planes it can hold.
+dynamic range.  Gradient maps export one PFM plane per class; the PFM encoder
+of ``imgio`` decides which planes it can hold, and every plane is encoded
+before any file is written.
 
 Three of the public functions are thin wrappers over private kernels on raw
 float64 arrays shaped ``(classes.total, pixel_count)``, which hold all of their
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import OracleError, UndefinedRangeError, ValidationError
 from .grid import PROB_SLACK, GradientMap, LabelMap, ProbabilityMap, overlap_sums, require_same_grid
-from .imgio import write_json, write_pfm
+from .imgio import _pfm_bytes, write_atomic, write_json
 from .losses import LossConfig
 
 __all__ = [
@@ -179,14 +180,16 @@ def dynamic_range_db(g: GradientMap) -> float:
 
 
 def export_gradient_map(g: GradientMap, path: str | Path) -> list[Path]:
-    """Write one PFM file per class plane, named <path>_k<k>.pfm; write_pfm
-    rejects a grid that is not 2-D."""
-    written = []
-    for k, plane in enumerate(g.planes()):
-        target = Path(f"{path}_k{k}.pfm")
-        write_pfm(target, plane)
-        written.append(target)
-    return written
+    """Write one PFM file per class plane, named <path>_k<k>.pfm; a grid that
+    is not 2-D, or a plane no PFM file can hold, writes no file."""
+    return [write_atomic(target, data) for target, data in _pfm_planes(g, path).items()]
+
+
+def _pfm_planes(g: GradientMap, path: str | Path) -> dict[Path, bytes]:
+    """The PFM file of each class plane of g under its name, <path>_k<k>.pfm,
+    every plane encoded and checked by ``imgio._pfm_bytes``."""
+    targets = (Path(f"{path}_k{k}.pfm") for k in range(g.classes.total))
+    return {target: _pfm_bytes(target, plane) for target, plane in zip(targets, g.planes())}
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,16 @@ def write_json(path: str | Path, payload: dict) -> Path:
 
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
-    """Write a 2-D array as a grayscale little-endian PFM file.
+    """Write a 2-D array as a grayscale little-endian PFM file; a plane
+    ``_pfm_bytes`` rejects writes nothing."""
+    write_atomic(path, _pfm_bytes(path, image))
+
+
+def _pfm_bytes(path: str | Path, image: np.ndarray) -> bytes:
+    """The PFM file of a 2-D array, for path, which only error messages name.
 
     Every value must satisfy |v| <= float32 max before the cast, so NaN and
-    infinities are rejected too; a rejected plane writes nothing.
+    infinities are rejected too.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
@@ -69,7 +75,7 @@ def write_pfm(path: str | Path, image: np.ndarray) -> None:
         raise ValidationError(f"{path}: PFM values must be finite with |v| <= {_FLOAT32_MAX:g} (float32 max)")
     height, width = img.shape
     header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
-    write_atomic(path, header + np.flipud(img).astype("<f4").tobytes())
+    return header + np.flipud(img).astype("<f4").tobytes()
 
 
 def _read(path: str | Path, tag: str, bytes_per_pixel: int) -> tuple[str, int, int, bytes]:

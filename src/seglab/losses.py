@@ -63,23 +63,6 @@ __all__ = [
 CE_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    """Shared loss settings.
-
-    epsilon guards every dice denominator (loss and gradient alike);
-    mime_a / mime_b parameterize the mime weight map.
-    """
-
-    epsilon: float = 1e-8
-    mime_a: float = 1.9
-    mime_b: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-
-
 Probs = ProbabilityMap | np.ndarray
 
 
@@ -115,13 +98,11 @@ def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 def _mime_weights(yv: np.ndarray, a: float, b: float) -> np.ndarray:
-    if not (a > 0 and b > 0):
-        raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
     return -a * yv + b * (1.0 - yv)
 
 
 def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
-    w = _mime_weights(yv, cfg.mime_a, cfg.mime_b)
+    w = _mime_weights(yv, cfg.a, cfg.b)
     # per class first, then over classes: one contraction over both axes
     # gives a stack a value that can differ from the map's in the last bit
     return np.einsum("kp,...kp->...k", w, sv).sum(axis=-1), w
@@ -132,6 +113,55 @@ def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 _KERNELS = {"ce": _ce, "dice": _dice, "mime": _mime, "nm": _nm}
+
+
+def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    terms = list(terms)
+    if not terms:
+        raise ConfigError("loss key 'terms' needs at least one (loss id, weight) term")
+    for loss_id, _ in terms:
+        if loss_id not in _KERNELS:
+            raise ConfigError(f"loss key 'terms' names unknown loss id {loss_id!r}; expected one of {tuple(_KERNELS)}")
+    return terms
+
+
+@dataclass(frozen=True)
+class LossConfig:
+    """The "loss" block of an experiment config, and the dice epsilon.
+
+    kind is a loss id or "combined"; terms, (loss id, weight) pairs with
+    positive weights, are stored only for "combined", and any other kind is
+    its own single term (``loss_terms``).  a and b, both positive, are the
+    mime weight map's -a on the labels and b off them, whatever the kind.
+    epsilon, not a config key, guards every dice denominator (loss and
+    gradient alike).  Every rule is checked here, so a directly built or
+    replaced config obeys it too.
+    """
+
+    kind: str = "dice"
+    terms: tuple[tuple[str, float], ...] | None = None
+    a: float = 1.9
+    b: float = 0.1
+    epsilon: float = 1e-8
+
+    def __post_init__(self) -> None:
+        if not self.epsilon > 0:
+            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        # _KERNELS, not LOSS_IDS: the default instance is built at import, before LOSS_IDS
+        if self.kind not in (*_KERNELS, "combined"):
+            raise ConfigError(f"loss key 'kind' must be one of {(*_KERNELS, 'combined')}, got {self.kind!r}")
+        if self.kind == "combined":
+            if not all(lam > 0 for _, lam in _checked_terms(self.terms or ())):
+                raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.terms)}")
+        elif self.terms is not None:
+            raise ConfigError(f"loss key 'terms' applies only to kind 'combined', not {self.kind!r}")
+        if not (self.a > 0 and self.b > 0):
+            raise ConfigError(f"loss keys 'a' and 'b' must be positive, got a={self.a}, b={self.b}")
+
+    @property
+    def loss_terms(self) -> tuple[tuple[str, float], ...]:
+        """The stored terms of a combined loss; any other kind is its own single term."""
+        return ((self.kind, 1.0),) if self.terms is None else self.terms
 
 
 def _combined(terms, yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
@@ -201,6 +231,8 @@ def ce_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> G
 
 def mime_weights(y: LabelMap, a: float, b: float) -> np.ndarray:
     """Weight map omega = -a*y + b*(1 - y) with a, b > 0, shaped like y.values."""
+    if not (a > 0 and b > 0):
+        raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
     return _mime_weights(y.values, a, b)
 
 
@@ -231,16 +263,6 @@ LOSSES = {
     "nm": (nm_loss, nm_grad),
 }
 LOSS_IDS = tuple(LOSSES)
-
-
-def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
-    terms = list(terms)
-    if not terms:
-        raise ConfigError("loss key 'terms' needs at least one (loss id, weight) term")
-    for loss_id, _ in terms:
-        if loss_id not in LOSSES:
-            raise ConfigError(f"loss key 'terms' names unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
-    return terms
 
 
 def combined_value(

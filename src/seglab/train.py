@@ -42,7 +42,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_to_dict
 from .errors import ConfigError, TrainingAbortError
-from .gradcheck import export_gradient_map
+from .gradcheck import _pfm_planes
 from .grid import GradientMap, _one_hot
 from .imgio import write_atomic, write_json
 from .losses import LossConfig, _combined
@@ -93,15 +93,9 @@ def _probabilities(net: SegNet, sample: Sample, when: str) -> tuple[np.ndarray, 
     return s, cache
 
 
-def _sample_loss_grad(
-    net: SegNet,
-    sample: Sample,
-    terms: tuple[tuple[str, float], ...],
-    lcfg: LossConfig,
-    epoch: int,
-) -> tuple[float, np.ndarray]:
+def _sample_loss_grad(net: SegNet, sample: Sample, loss: LossConfig, epoch: int) -> tuple[float, np.ndarray]:
     s, cache = _probabilities(net, sample, f"at epoch {epoch}")
-    value, grad_s = _combined(terms, _one_hot(sample.label.indices, s.shape[0]), s, lcfg)
+    value, grad_s = _combined(loss.loss_terms, _one_hot(sample.label.indices, s.shape[0]), s, loss)
     if not np.isfinite(grad_s).all():
         raise TrainingAbortError(f"non-finite loss gradient at epoch {epoch} on sample {sample.id}")
     grad_z = _softmax_backward(s, grad_s).reshape(s.shape[0], *sample.image.shape)
@@ -122,7 +116,7 @@ def _score(net: SegNet, samples: Iterable[Sample], when: str, calibration: bool 
 def _test_metrics(net: SegNet, samples: Iterable[Sample], cfg: ExperimentConfig) -> dict:
     dice, calibration = _score(net, samples, "in testing", calibration=True)
     return {
-        "loss": cfg.loss_kind,
+        "loss": cfg.loss.kind,
         "optimizer": cfg.optimizer.kind,
         "n_test": len(dice),
         "per_class_dsc_mean": [float(v) for v in dice.mean(axis=0)],
@@ -134,15 +128,19 @@ def _test_metrics(net: SegNet, samples: Iterable[Sample], cfg: ExperimentConfig)
     }
 
 
-def _export_gradient_maps(net: SegNet, sample: Sample, losses: dict, lcfg: LossConfig, out: Path) -> list[Path]:
-    """One PFM per class plane of dL/ds for each named term set in losses, at the net's parameters."""
+def _export_gradient_maps(net: SegNet, sample: Sample, losses: Iterable[LossConfig], out: Path) -> list[Path]:
+    """One PFM per class plane of dL/ds for each loss, named for its kind, at the net's parameters.
+
+    Every plane of every loss is encoded, and so checked, before any file is
+    written, so a plane no PFM file can hold leaves no file behind.
+    """
     s, _ = _probabilities(net, sample, "for the gradient maps")
     label = sample.label
-    written: list[Path] = []
-    for name, terms in losses.items():
-        grad_s = GradientMap(label.shape, label.classes, _combined(terms, label.values, s, lcfg)[1])
-        written.extend(export_gradient_map(grad_s, out / f"gradmap_{name}"))
-    return written
+    files: dict[Path, bytes] = {}
+    for loss in losses:
+        grad_s = GradientMap(label.shape, label.classes, _combined(loss.loss_terms, label.values, s, loss)[1])
+        files |= _pfm_planes(grad_s, out / f"gradmap_{loss.kind}")
+    return [write_atomic(path, data) for path, data in files.items()]
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> Path:
@@ -184,7 +182,6 @@ def _train_epoch(
     """One epoch: shuffled batches and optimizer steps, then validation, best tracking and the scheduler."""
     epoch = len(state.log)
     step_cfg = replace(cfg.optimizer, eta=state.scheduler.current_eta)
-    lcfg = cfg.loss_config()
     order = state.shuffle_rng.permutation(len(train_set))
     batch_losses = []
     for start in range(0, len(order), cfg.batch_size):
@@ -195,7 +192,7 @@ def _train_epoch(
         # means: the gradient and loss checks report it.  An overflowing step
         # leaves non-finite parameters: the next forward reports them.
         with np.errstate(over="ignore", invalid="ignore"):
-            results = [_sample_loss_grad(net, s, cfg.loss_terms, lcfg, epoch) for s in batch]
+            results = [_sample_loss_grad(net, s, cfg.loss, epoch) for s in batch]
             batch_loss = _mean_loss([value for value, _ in results], epoch)
             grad = np.mean([g for _, g in results], axis=0)
             theta = (sgd_step if cfg.optimizer.kind == "sgd" else adam_step)(net.theta, grad, step_cfg, state.optimizer)
@@ -246,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         best_val_dsc=None if state.best_epoch is None else state.scheduler.best_metric,
         config=config_to_dict(cfg, include_output=False),
     )
-    _export_gradient_maps(net, val_set[0], {cfg.loss_kind: cfg.loss_terms}, cfg.loss_config(), out)
+    _export_gradient_maps(net, val_set[0], [cfg.loss], out)
 
     return RunResult(
         log=state.log,
@@ -256,17 +253,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def _require_comparable(cfgs: list[ExperimentConfig]) -> None:
-    first = cfgs[0]
-    for other in cfgs[1:]:
-        same = (
-            other.dataset == first.dataset
-            and other.epochs == first.epochs
-            and other.batch_size == first.batch_size
-            and other.seed == first.seed
-            and other.augment == first.augment
-        )
-        if not same:
-            raise ConfigError("compared configs may differ only in loss/optimizer")
+    def shared(cfg: ExperimentConfig) -> ExperimentConfig:
+        return replace(cfg, loss=ExperimentConfig.loss, optimizer=ExperimentConfig.optimizer, output_dir=None)
+
+    if any(shared(cfg) != shared(cfgs[0]) for cfg in cfgs[1:]):
+        raise ConfigError("compared configs may differ only in loss/optimizer")
 
 
 def _format_percent(mean: float, std: float) -> str:
@@ -280,7 +271,7 @@ def run_comparison(cfgs: list[ExperimentConfig], out_dir: str | Path) -> tuple[P
     _require_comparable(cfgs)
     out = Path(out_dir)
     cfgs = [
-        cfg if cfg.output_dir is not None else replace(cfg, output_dir=out / f"run{i}_{cfg.loss_kind}_{cfg.optimizer.kind}")
+        cfg if cfg.output_dir is not None else replace(cfg, output_dir=out / f"run{i}_{cfg.loss.kind}_{cfg.optimizer.kind}")
         for i, cfg in enumerate(cfgs)
     ]
     resolved = [Path(cfg.output_dir).resolve() for cfg in cfgs]

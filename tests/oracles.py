@@ -54,7 +54,7 @@ def audit_via_maps(cfg: ExperimentConfig) -> tuple[float, int]:
     audit_bound violations.
     """
     rng = np.random.default_rng(cfg.seed)
-    lcfg = cfg.loss_config()
+    lcfg = cfg.loss
     max_err, violations = 0.0, 0
     for terms in AUDIT_TERM_SETS:
         for _ in range(AUDIT_TRIALS):

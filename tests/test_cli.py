@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,7 @@ from seglab.errors import ConfigError
 from seglab.grid import ClassSet, LabelMap
 from seglab.losses import LOSS_IDS, LossConfig, combined_loss
 from seglab.net import SegNet, backward, forward, load_checkpoint, save_checkpoint, softmax, softmax_backward
-from seglab.optim import default_optimizer_config
+from seglab.optim import OptimizerConfig, default_optimizer_config
 from seglab.synthdata import DatasetSpec, Sample, generate
 
 from .oracles import audit_via_maps
@@ -92,8 +92,8 @@ def artifact_bytes(run_dir: Path) -> dict[str, bytes]:
 class TestConfigParsing:
     def test_defaults(self):
         cfg = config_from_dict({})
-        assert cfg.loss_kind == "dice"
-        assert cfg.loss_terms == (("dice", 1.0),)
+        assert cfg.loss.kind == "dice"
+        assert cfg.loss.loss_terms == (("dice", 1.0),)
         assert cfg.optimizer.kind == "adam"
         assert cfg.epochs == 60
         assert cfg.batch_size == 1
@@ -103,8 +103,8 @@ class TestConfigParsing:
         assert cfg == config_from_dict({"dataset": {}, "loss": {}, "optimizer": {}})
         assert config_from_dict({"dataset": {"seed": 0}}).dataset == DatasetSpec()
         assert config_from_dict({"optimizer": "sgd"}).optimizer == default_optimizer_config("sgd")
-        mime = config_from_dict({"loss": "mime"}).loss_config()
-        assert (mime.mime_a, mime.mime_b) == (LossConfig().mime_a, LossConfig().mime_b)
+        mime = config_from_dict({"loss": "mime"}).loss
+        assert (mime.a, mime.b) == (LossConfig().a, LossConfig().b)
 
     def test_round_trip(self):
         data = tiny_config(loss="mime", output_dir="runs/x")
@@ -124,7 +124,7 @@ class TestConfigParsing:
         cfg = config_from_dict(
             tiny_config() | {"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]]}}
         )
-        assert cfg.loss_terms == (("ce", 1.0), ("dice", 0.5))
+        assert cfg.loss.loss_terms == (("ce", 1.0), ("dice", 0.5))
 
     def test_unknown_loss_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,20 +142,35 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("kind", LOSS_IDS)
     def test_a_single_kind_is_its_own_term(self, kind):
-        cfg = ExperimentConfig(loss_kind=kind)
-        assert cfg.loss_terms == ((kind, 1.0),)
+        cfg = ExperimentConfig(loss=LossConfig(kind=kind))
+        assert cfg.loss.loss_terms == ((kind, 1.0),)
         assert cfg == config_from_dict(config_to_dict(cfg))
 
     def test_direct_construction_obeys_the_loss_rules(self):
         with pytest.raises(ConfigError, match="'kind'"):
-            ExperimentConfig(loss_kind="bogus")
+            LossConfig(kind="bogus")
         with pytest.raises(ConfigError, match="'terms'"):
-            ExperimentConfig(loss_kind="ce", combined_terms=(("dice", 1.0),))
+            LossConfig(kind="ce", terms=(("dice", 1.0),))
         with pytest.raises(ConfigError, match="'terms'"):
-            ExperimentConfig(loss_kind="combined")
-        cfg = ExperimentConfig(loss_kind="combined", combined_terms=(("ce", 1.0), ("dice", 0.5)))
+            LossConfig(kind="combined")
+        cfg = LossConfig(kind="combined", terms=(("ce", 1.0), ("dice", 0.5)))
         with pytest.raises(ConfigError, match="'terms'"):
-            replace(cfg, loss_kind="dice")
+            replace(cfg, kind="dice")
+
+    def test_config_shape_is_the_json_schema(self):
+        # one field per top-level key, and each block's keys are fields of its dataclass
+        schema = seglab.config
+        assert [f.name for f in fields(ExperimentConfig)] == list(schema._CONFIG)
+        for converters, block in ((schema._DATASET, DatasetSpec), (schema._LOSS, LossConfig), (schema._OPTIMIZER, OptimizerConfig)):
+            assert set(converters) <= {f.name for f in fields(block)}
+        # loss blocks as checkpoint headers have embedded them: kind, a and b, and terms as lists
+        for embedded in (
+            '{"a": 1.9, "b": 0.1, "kind": "dice"}',
+            '{"a": 2.5, "b": 0.3, "kind": "mime"}',
+            '{"a": 1.9, "b": 0.1, "kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]]}',
+        ):
+            loss = json.loads(embedded)
+            assert config_to_dict(config_from_dict({"loss": loss}))["loss"] == loss
 
     def test_combined_round_trip_keeps_terms(self):
         cfg = config_from_dict({"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]]}})
@@ -170,7 +185,7 @@ class TestConfigParsing:
 
     def test_nm_on_multiclass_dataset_accepted(self):
         cfg = config_from_dict(tiny_config(loss="nm"))
-        assert cfg.loss_kind == "nm"
+        assert cfg.loss.kind == "nm"
 
     def test_mime_weights_validated(self):
         data = tiny_config(loss="mime")
@@ -281,8 +296,8 @@ class TestHotPath:
     def test_engine_step_equals_public_map_path(self, terms, kind, dims):
         sample = hot_path_sample(kind, dims, seed=len(terms) + dims[1])
         net = SegNet(sample.label.classes, seed=3)
-        lcfg = LossConfig()
-        value, grad = train._sample_loss_grad(net, sample, terms, lcfg, 0)
+        lcfg = LossConfig(kind="combined", terms=terms)
+        value, grad = train._sample_loss_grad(net, sample, lcfg, 0)
         logits, cache = forward(net, sample.image)
         probs = softmax(logits)
         ref_value, grad_s = combined_loss(terms, sample.label, probs, lcfg)
@@ -299,10 +314,10 @@ class TestHotPath:
         # 2.22 MB: the forward cache, the loss path, and backward's gradient grid and window buffers
         sample = hot_path_sample("acdc_like", (64, 64), seed=0)
         net = SegNet(sample.label.classes, seed=0)
-        train._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
+        train._sample_loss_grad(net, sample, LossConfig(), 0)
         tracemalloc.start()
         try:
-            train._sample_loss_grad(net, sample, (("dice", 1.0),), LossConfig(), 0)
+            train._sample_loss_grad(net, sample, LossConfig(), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -395,11 +410,33 @@ class TestComparison:
         single_table, _ = run_comparison([cfgs[0]], tmp_path / "single")
         assert len(single_table.read_text().splitlines()) == 2
 
-    def test_non_comparable_configs_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "change",
+        [{"dataset": TINY_DATASET | {"train": 6}}, {"epochs": 2}, {"batch_size": 1}, {"seed": 1}, {"augment": True}],
+        ids=["dataset", "epochs", "batch_size", "seed", "augment"],
+    )
+    def test_non_comparable_configs_rejected(self, tmp_path, change):
         a = config_from_dict(tiny_config(epochs=1))
-        b = config_from_dict(tiny_config(epochs=2))
-        with pytest.raises(ConfigError):
+        b = config_from_dict(tiny_config(epochs=1) | change)
+        with pytest.raises(ConfigError, match="differ only in loss/optimizer"):
             run_comparison([a, b], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"loss": {"kind": "mime", "a": 2.5, "b": 0.3}},
+            {"loss": {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]]}},
+            {"optimizer": {"kind": "sgd"}},
+            {"output_dir": "elsewhere"},
+        ],
+        ids=["loss_kind_a_b", "loss_terms", "optimizer", "output_dir"],
+    )
+    def test_configs_differing_in_loss_optimizer_or_output_dir_are_comparable(self, change):
+        a = config_from_dict(tiny_config(epochs=1))
+        b = config_from_dict(tiny_config(epochs=1) | change)
+        assert a != b
+        train._require_comparable([a, b])
 
 
 class TestCliCommands:
@@ -788,6 +825,17 @@ class TestBadInput:
         assert "non-finite logits" in self.single_error_line(capsys)
         assert not (tmp_path / "maps").exists()
 
+    def test_gradmap_of_a_plane_beyond_float32_leaves_no_output_directory(self, tmp_path, capsys):
+        # a dice run's embedded mime weight a = 1e308 makes the mime planes unwritable;
+        # the ce and dice planes, computed first, are not written either
+        config = config_to_dict(config_from_dict(tiny_config(epochs=0)), include_output=False)
+        config["loss"]["a"] = 1e308
+        ckpt = save_checkpoint(tmp_path / "net.ckpt", SegNet(ClassSet(3), seed=0), epoch=0, config=config)
+        args = ["--checkpoint", str(ckpt), "--sample", "acdc_like-val-0000", "--out", str(tmp_path / "maps")]
+        assert main(["gradmap", *args]) == 2
+        assert "gradmap_mime_k0.pfm: PFM values must be finite" in self.single_error_line(capsys)
+        assert not (tmp_path / "maps").exists()
+
     def test_gradmap_rejects_a_config_with_other_classes(self, tmp_path, capsys):
         data = tiny_config(epochs=0, dataset=TINY_DATASET | {"kind": "promise_like", "image_size": [32, 32]})
         assert main(["train", "--config", str(write_config(tmp_path, data)), "--out", str(tmp_path / "run")]) == 0
@@ -810,8 +858,8 @@ class TestBadInput:
 
     def test_json_integers_accepted_as_floats(self):
         cfg = config_from_dict({"loss": {"kind": "mime", "a": 2}, "optimizer": {"kind": "sgd", "eta": 1}})
-        assert (cfg.mime_a, cfg.optimizer.eta) == (2.0, 1.0)
-        assert type(cfg.mime_a) is float and type(cfg.optimizer.eta) is float
+        assert (cfg.loss.a, cfg.optimizer.eta) == (2.0, 1.0)
+        assert type(cfg.loss.a) is float and type(cfg.optimizer.eta) is float
 
     def test_non_finite_logits_name_epoch_and_sample(self, tmp_path, capsys, monkeypatch):
         cfg = config_from_dict(tiny_config(epochs=1))

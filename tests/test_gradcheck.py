@@ -46,7 +46,7 @@ class TestFiniteDiff:
         rng = np.random.default_rng(1)
         y, s = random_instance(rng, max_pixels=16)
         w = mime_weights(y, 1.9, 0.1)
-        cfg = LossConfig(mime_a=1.9, mime_b=0.1)
+        cfg = LossConfig(a=1.9, b=0.1)
         for h in (1e-3, 1e-5, 1e-7):
             g = finite_diff_grad(lambda p: mime_loss(y, p, cfg), s, h)
             # no truncation error for a linear loss; only |L| * ulp / h remains
@@ -123,7 +123,7 @@ class TestAgainstLoop:
     @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
     def test_matches_loop_exactly(self, monkeypatch, value_fn, block):
         monkeypatch.setattr(gradcheck, "PROBE_BLOCK", block)
-        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        cfg = LossConfig(a=2.5, b=0.3)
         rng = np.random.default_rng(12)
         for _ in range(4):
             y, s = random_instance(rng, max_pixels=24)

@@ -47,6 +47,13 @@ class TestLossConfig:
         with pytest.raises(ValidationError):
             LossConfig(epsilon=-1e-8)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 0.1), (1.9, 0.0), (float("nan"), 0.1)])
+    def test_mime_weights_must_be_positive_whatever_the_kind(self, a, b):
+        # checked when the config is built, not when a mime kernel first runs
+        for kind in ("dice", "mime"):
+            with pytest.raises(ConfigError, match="'a' and 'b'"):
+                LossConfig(kind=kind, a=a, b=b)
+
 
 class TestDiceLoss:
     def test_worked_four_pixel_case(self):
@@ -231,13 +238,13 @@ class TestMime:
     def test_worked_inner_product(self):
         # one pixel, three classes, true class 0: omega = [-1.9, 0.1, 0.1]
         y = LabelMap(np.array([0]), ClassSet(2))
-        cfg = LossConfig(mime_a=1.9, mime_b=0.1)
+        cfg = LossConfig(a=1.9, b=0.1)
         s = ProbabilityMap(GridShape((1,)), ClassSet(2), np.array([[0.8], [0.1], [0.1]]))
         assert mime_loss(y, s, cfg) == pytest.approx(-1.50, rel=1e-12)
 
     def test_zero_probabilities_give_zero(self):
         y = LabelMap(np.array([0, 1]), ClassSet(1))
-        cfg = LossConfig(mime_a=1.9, mime_b=0.1)
+        cfg = LossConfig(a=1.9, b=0.1)
         s = ProbabilityMap(GridShape((2,)), ClassSet(1), np.zeros((2, 2)))
         assert mime_loss(y, s, cfg) == 0.0
 
@@ -245,7 +252,7 @@ class TestMime:
         rng = np.random.default_rng(7)
         y, s = random_instance(rng)
         w = mime_weights(y, 1.9, 0.1)
-        assert np.array_equal(mime_grad(y, s, LossConfig(mime_a=1.9, mime_b=0.1)).values, w)
+        assert np.array_equal(mime_grad(y, s, LossConfig(a=1.9, b=0.1)).values, w)
         # independent of s: combined gradient for a mime term equals omega
         _, g = combined_loss([("mime", 1.0)], y, s, LossConfig())
         assert np.array_equal(g.values, w)
@@ -277,7 +284,7 @@ class TestLossTable:
     def test_gradient_matches_finite_differences(self, loss_id, pair):
         value_fn, grad_fn = pair
         # non-default mime weights show the entry reads cfg
-        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        cfg = LossConfig(a=2.5, b=0.3)
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 5:
@@ -292,7 +299,7 @@ class TestLossTable:
     @pytest.mark.parametrize("loss_id, pair", LOSSES.items(), ids=list(LOSSES))
     def test_stack_values_equal_per_map_calls(self, loss_id, pair):
         value_fn, _ = pair
-        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        cfg = LossConfig(a=2.5, b=0.3)
         rng = np.random.default_rng(12)
         for _ in range(5):
             y, s = random_instance(rng)
@@ -311,7 +318,7 @@ class TestLossTable:
         ids=["k4_8x8_full_block", "k2_64x64", "k4_64x64"],
     )
     def test_stack_values_equal_per_map_calls_at_oracle_sizes(self, value_fn, objects, side, probes):
-        cfg = LossConfig(mime_a=2.5, mime_b=0.3)
+        cfg = LossConfig(a=2.5, b=0.3)
         rng = np.random.default_rng(side * 10 + objects)
         y = LabelMap(rng.integers(0, objects + 1, (side, side)), ClassSet(objects))
         stack = rng.uniform(0.0, 1.0, (probes, *y.values.shape))

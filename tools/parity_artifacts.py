@@ -17,9 +17,10 @@ The set: 2-epoch acdc_like 48x48 runs at batch 1 with Adam for each of
 ``dice``/``ce``/``mime``/``nm``; a promise_like ``ce``+``dice`` SGD run at
 batch 4 with augment; a 24-epoch promise_like Adam run whose validation DSC
 never beats epoch 0, so the learning rate halves after epoch 20; a zero-epoch
-``mime`` run with a 20-sample test split; ``compare`` over two configs;
-``generate``; ``audit`` for two seeds; and ``gradmap`` from the ``dice`` run's
-checkpoint.
+``mime`` run with its own ``a`` and ``b`` and a 20-sample test split;
+``compare`` over two configs differing in loss kind and optimizer, and over
+two ``mime`` configs differing in ``a`` and ``b``; ``generate``; ``audit`` for
+two seeds; and ``gradmap`` from the ``dice`` run's checkpoint.
 """
 from __future__ import annotations
 
@@ -54,15 +55,18 @@ CONFIGS = {
         "batch_size": 1,
         "seed": 3,
     },
-    "zero_epoch": {"dataset": ACDC_48 | {"test": 20}, "loss": {"kind": "mime", "a": 1.5}, "epochs": 0, "seed": 13},
+    "zero_epoch": {"dataset": ACDC_48 | {"test": 20}, "loss": {"kind": "mime", "a": 1.5, "b": 0.2}, "epochs": 0, "seed": 13},
     "compare_a": {"dataset": ACDC_48 | {"train": 6}, "loss": "ce", "epochs": 1, "seed": 14},
     "compare_b": {"dataset": ACDC_48 | {"train": 6}, "loss": "dice", "optimizer": "sgd", "epochs": 1, "seed": 14},
+    "compare_mime_a": {"dataset": ACDC_48 | {"train": 6}, "loss": {"kind": "mime", "a": 2.5, "b": 0.3}, "epochs": 1, "seed": 15},
+    "compare_mime_b": {"dataset": ACDC_48 | {"train": 6}, "loss": {"kind": "mime", "a": 1.5, "b": 0.05}, "epochs": 1, "seed": 15},
 }
 
 COMMANDS = [
     *((f"train_{name}", ["train", "--config", f"configs/{name}.json", "--out", f"train_{name}"])
       for name in ("dice", "ce", "mime", "nm", "promise_sgd", "plateau", "zero_epoch")),
     ("compare", ["compare", "--configs", "configs/compare_a.json", "configs/compare_b.json", "--out", "compare"]),
+    ("compare_mime", ["compare", "--configs", "configs/compare_mime_a.json", "configs/compare_mime_b.json", "--out", "compare_mime"]),
     ("generate", ["generate", "--config", "configs/dice.json", "--out", "generate"]),
     ("audit_s3", ["audit", "--seed", "3", "--out", "audit_s3"]),
     ("audit_s4", ["audit", "--config", "configs/promise_sgd.json", "--seed", "4", "--out", "audit_s4"]),
