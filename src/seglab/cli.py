@@ -10,7 +10,9 @@ gradmap    export per-loss gradient maps for one sample of a saved checkpoint
 
 Each command but ``gradmap`` reads experiment configs (:mod:`seglab.config`);
 the flags --loss, --opt, --seed and --out, where a command has them, override
-the corresponding config keys.  ``train`` and ``compare`` run the engine in :mod:`seglab.train`.  Bad
+the corresponding config keys: --loss and --opt set only the kind of their
+block and keep its other keys, but --loss drops "terms", which only
+"combined" takes.  ``train`` and ``compare`` run the engine in :mod:`seglab.train`.  Bad
 input, a config or a path, ends as one ``error:`` line on stderr and exit
 code 2, and so does a ``MemoryError``.
 """
@@ -176,18 +178,32 @@ def run_gradmap(checkpoint: str | Path, sample_id: str, out_dir: str | Path) -> 
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--loss", choices=LOSS_IDS, help="override the configured loss")
-    parser.add_argument("--opt", choices=OPTIMIZER_KINDS, help="override the optimizer")
+    parser.add_argument("--loss", choices=LOSS_IDS, help="set the loss kind, keeping a and b")
+    parser.add_argument("--opt", choices=OPTIMIZER_KINDS, help="set the optimizer kind, keeping its other keys")
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--out", help="override the output directory")
 
 
+def _with_kind(block, kind: str, drop: str | None = None):
+    """A config block with its kind set to kind, keeping every other key but
+    drop.  A block given as a string counts as its kind; any other block that
+    is not an object is returned as it is, for the reader to reject."""
+    if isinstance(block, str):
+        block = {}
+    if not isinstance(block, dict):
+        return block
+    return {key: value for key, value in block.items() if key != drop} | {"kind": kind}
+
+
 def _config_with_overrides(args: argparse.Namespace) -> ExperimentConfig:
     data = load_config(args.config) if args.config else {}
+    if not isinstance(data, dict):
+        return config_from_dict(data)  # rejects it, naming the config
     if getattr(args, "loss", None):
-        data["loss"] = {"kind": args.loss}
+        # a and b hold for every kind; terms only for "combined", which --loss cannot name
+        data["loss"] = _with_kind(data.get("loss", {}), args.loss, drop="terms")
     if getattr(args, "opt", None):
-        data["optimizer"] = {"kind": args.opt}
+        data["optimizer"] = _with_kind(data.get("optimizer", {}), args.opt)
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     if getattr(args, "out", None):

@@ -97,7 +97,10 @@ def _central_differences(loss_fn: Callable[[np.ndarray], np.ndarray], values: np
     for start in range(0, size, coords):
         stop = min(start + coords, size)
         n = stop - start
-        probes = np.repeat(flat[None], 2 * n, axis=0)
+        # One broadcast assignment fills every probe with s, the one pass
+        # over the stack before the 2n moved coordinates are written.
+        probes = np.empty((2 * n, size))
+        probes[...] = flat
         # Viewed as (2, n * size), row 0 holds the +h probes and row 1 the -h
         # probes; probe i moves coordinate start + i, which sits at
         # start + i * (size + 1), so one strided slice per row reaches all n

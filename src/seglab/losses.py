@@ -27,9 +27,15 @@ and its gradient weights from ``_dice_weights``; the mime value sums
 labelled entry of each pixel, ``_labelled``: one log per pixel for ce, not one
 per class entry.  The labelled entries of a map and of each probe of a stack
 come out C-contiguous and in pixel order, so these values keep the same
-equality.  ``_combined`` sums the kernels of a
-term set; the public functions check the grid and wrap its result, and the
-training step calls it directly.
+equality.  The ce value clamps and takes the log in place on that fresh
+gather, so it costs no array beyond it; the dice value takes its class mean
+as ``.sum(axis=-1) / classes.total``, the arithmetic of ``.mean``.
+``_combined`` sums the kernels of a term set, each sum started at 0.0.  A
+unit weight skips its product, since ``x * 1.0 == x`` exactly; the 0.0 start
+stays, because ``0.0 + -0.0`` is ``+0.0``: the ce and nm gradients are -0.0
+off the labels, and their gradient maps store +0.0 there.  The public
+functions check the grid and wrap its result, and the training step calls
+``_combined`` directly.
 """
 from __future__ import annotations
 
@@ -77,7 +83,8 @@ def _dice_weights(intersection: np.ndarray, union_sum: np.ndarray, eps: float, t
 
 def _dice(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     intersection, union_sum = overlap_sums(yv, sv)
-    value = (1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)).mean(axis=-1)
+    # the arithmetic of .mean(axis=-1), without its Python wrapper
+    value = (1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)).sum(axis=-1) / yv.shape[0]
     if not grad:
         return value, None
     a, b = _dice_weights(intersection, union_sum, cfg.epsilon, yv.shape[0])
@@ -93,7 +100,8 @@ def _labelled(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
 
 def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     norm = yv.size
-    value = -np.log(np.maximum(_labelled(yv, sv), CE_CLAMP)).sum(axis=-1) / norm
+    p = _labelled(yv, sv)  # a fresh array, so the clamp and the log can overwrite it
+    value = -np.log(np.maximum(p, CE_CLAMP, out=p), out=p).sum(axis=-1) / norm
     return value, (-yv / (norm * np.maximum(sv, CE_CLAMP)) if grad else None)
 
 
@@ -109,7 +117,7 @@ def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
-    return -_labelled(yv, sv).sum(axis=-1), -yv
+    return -_labelled(yv, sv).sum(axis=-1), (-yv if grad else None)
 
 
 _KERNELS = {"ce": _ce, "dice": _dice, "mime": _mime, "nm": _nm}
@@ -167,13 +175,16 @@ class LossConfig:
 def _combined(terms, yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
     """sum_j lambda_j (L_j, grad L_j) over raw arrays, each sum started at 0.0
     and taken term by term (the gradient sum stays 0.0 when grad is False);
-    the terms must already be validated."""
+    the terms must already be validated.  A unit weight skips its product,
+    which is exact; the 0.0 start turns a -0.0 gradient entry into +0.0."""
     value, total = 0.0, 0.0
     for loss_id, lam in terms:
         v, g = _KERNELS[loss_id](yv, sv, cfg, grad)
-        value = value + lam * v
+        if lam != 1.0:
+            v, g = lam * v, (lam * g if grad else None)
+        value = value + v
         if grad:
-            total = total + lam * g
+            total = total + g
     return value, total
 
 

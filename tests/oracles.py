@@ -5,12 +5,14 @@ per-bin ClECE loop, for the net with the textbook im2col/col2im convolution,
 for the synthetic data with full np.mgrid index arrays and one masked
 assignment per class, or for the gradient audit with typed maps and the public
 functions, so the package's vectorized implementations are checked against an
-independent path.
+independent path.  A whole training run is restated the same way, over typed
+maps and public names only.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,9 +22,17 @@ from seglab.config import ExperimentConfig
 from seglab.gradcheck import audit_bound, finite_diff_grad, max_relative_error
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
 from seglab.losses import combined_loss, combined_value
-from seglab.metrics import BinStat
-from seglab.net import INPUT_CENTER, SegNet
-from seglab.synthdata import ACDC_INTENSITIES, MAX_GEOMETRY_RETRIES, PROMISE_INTENSITIES, DatasetSpec
+from seglab.metrics import BinStat, argmax_dsc, clece
+from seglab.net import INPUT_CENTER, SegNet, backward, forward, softmax, softmax_backward
+from seglab.optim import AdamState, MomentumState, SchedulerState, adam_step, scheduler_step, sgd_step
+from seglab.synthdata import (
+    ACDC_INTENSITIES,
+    MAX_GEOMETRY_RETRIES,
+    PROMISE_INTENSITIES,
+    DatasetSpec,
+    augment,
+    generate_split,
+)
 
 
 def random_instance(
@@ -65,6 +75,86 @@ def audit_via_maps(cfg: ExperimentConfig) -> tuple[float, int]:
             if terms == (("dice", 1.0),):
                 violations += audit_bound(analytic, labels, probs, epsilon=lcfg.epsilon)
     return max_err, violations
+
+
+class RunViaMaps(NamedTuple):
+    """What a training run writes: the best.ckpt parameters and epoch, the
+    val_dsc.csv rows as (epoch, per-class DSC, mean DSC, lr) and the
+    test_metrics.json object."""
+
+    best_params: np.ndarray
+    best_epoch: int | None
+    val_rows: list[tuple[int, tuple[float, ...], float, float]]
+    test_metrics: dict
+
+
+def train_via_maps(cfg: ExperimentConfig) -> RunViaMaps:
+    """One run_experiment run restated over maps and public functions.
+
+    The run seed spawns four SeedSequence children: the dataset seed (when
+    the config's is null), the init seed, and the shuffle and augment
+    generators.  Each epoch steps the optimizer at the scheduler's rate on the
+    mean parameter gradient of each batch of a fresh permutation, each sample
+    augmented first when configured; then it scores validation, keeps the
+    parameters of a strictly better mean DSC and advances the scheduler.  The
+    best parameters are scored on the test split.
+    """
+    children = np.random.SeedSequence(cfg.seed).spawn(4)
+    spec = cfg.dataset
+    if spec.seed is None:
+        spec = replace(spec, seed=int(children[0].generate_state(1)[0]))
+    net = SegNet(spec.classes, seed=int(children[1].generate_state(1)[0]))
+    shuffle_rng, augment_rng = np.random.default_rng(children[2]), np.random.default_rng(children[3])
+    train_set, val_set = list(generate_split(spec, "train")), list(generate_split(spec, "val"))
+    sgd = cfg.optimizer.kind == "sgd"
+    opt_state = MomentumState.fresh(net.param_count) if sgd else AdamState.fresh(net.param_count)
+    scheduler = SchedulerState(current_eta=cfg.optimizer.eta)
+    best_params, best_epoch, val_rows = net.get_params(), None, []
+
+    def probabilities(sample):
+        logits, cache = forward(net, sample.image)
+        return softmax(logits), cache
+
+    for epoch in range(cfg.epochs):
+        step_cfg = replace(cfg.optimizer, eta=scheduler.current_eta)
+        order = shuffle_rng.permutation(len(train_set))
+        for start in range(0, len(order), cfg.batch_size):
+            grads = []
+            for i in order[start : start + cfg.batch_size]:
+                sample = train_set[i]
+                if cfg.augment:
+                    sample = augment(sample, int(augment_rng.integers(0, 2**63)))
+                s, cache = probabilities(sample)
+                _, dL_ds = combined_loss(cfg.loss.loss_terms, sample.label, s, cfg.loss)
+                grads.append(backward(net, cache, softmax_backward(s, dL_ds)))
+            step = sgd_step if sgd else adam_step
+            net.set_params(step(net.get_params(), np.mean(grads, axis=0), step_cfg, opt_state))
+        per_class = np.array([argmax_dsc(v.label, probabilities(v)[0])[1:] for v in val_set]).mean(axis=0)
+        mean_dsc = float(per_class.mean())
+        val_rows.append((epoch, tuple(per_class.tolist()), mean_dsc, step_cfg.eta))
+        if mean_dsc > scheduler.best_metric:
+            best_params, best_epoch = net.get_params(), epoch
+        scheduler = scheduler_step(scheduler, mean_dsc)
+
+    net.set_params(best_params)
+    dice_rows, clece_rows = [], []
+    for sample in generate_split(spec, "test"):
+        s = probabilities(sample)[0]
+        dice_rows.append(argmax_dsc(sample.label, s)[1:])
+        clece_rows.append(clece(sample.label, s)[1:])
+    dice, calibration = np.array(dice_rows), np.array(clece_rows)
+    test_metrics = {
+        "loss": cfg.loss.kind,
+        "optimizer": cfg.optimizer.kind,
+        "n_test": len(dice),
+        "per_class_dsc_mean": dice.mean(axis=0).tolist(),
+        "per_class_dsc_std": dice.std(axis=0).tolist(),
+        "per_class_clece_mean": calibration.mean(axis=0).tolist(),
+        "mean_dsc": float(dice.mean()),
+        "mean_dsc_std": float(dice.mean(axis=1).std()),
+        "mean_clece": float(calibration.mean()),
+    }
+    return RunViaMaps(best_params, best_epoch, val_rows, test_metrics)
 
 
 def one_hot(idx: np.ndarray, classes: ClassSet) -> np.ndarray:

@@ -594,6 +594,34 @@ class TestCliCommands:
         assert header["config"]["seed"] == 3
         assert (out / "gradmap_ce_k0.pfm").exists()
 
+    def test_loss_and_opt_flags_set_only_the_kind(self, tmp_path):
+        # Each flag sets the kind of its configured block and keeps the block's
+        # other keys; --loss drops "terms", which only "combined" takes, and a
+        # block given as a string counts as its kind.
+        cases = [
+            (
+                {"kind": "mime", "a": 2.5, "b": 0.3},
+                {"kind": "sgd", "eta": 0.05},
+                ["--loss", "mime", "--opt", "sgd"],
+                {"kind": "mime", "a": 2.5, "b": 0.3},
+                asdict(default_optimizer_config("sgd")) | {"eta": 0.05},
+            ),
+            (
+                {"kind": "combined", "terms": [["ce", 1.0], ["dice", 0.5]], "a": 1.5, "b": 0.2},
+                "adam",
+                ["--loss", "ce", "--opt", "sgd"],
+                {"kind": "ce", "a": 1.5, "b": 0.2},
+                asdict(default_optimizer_config("sgd")),
+            ),
+        ]
+        for i, (loss, optimizer, flags, want_loss, want_optimizer) in enumerate(cases):
+            cfg_path = write_config(tmp_path, tiny_config(epochs=0) | {"loss": loss, "optimizer": optimizer}, f"{i}.json")
+            out = tmp_path / f"run{i}"
+            assert main(["train", "--config", str(cfg_path), *flags, "--out", str(out)]) == 0
+            _, header = load_checkpoint(out / "best.ckpt")
+            assert header["config"]["loss"] == want_loss
+            assert header["config"]["optimizer"] == want_optimizer
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, {"loss": {"kind": "nonsense"}})
         assert main(["train", "--config", str(cfg_path)]) == 2
@@ -751,6 +779,21 @@ class TestBadInput:
         cfg_path = write_config(tmp_path, data)
         assert main([command, "--config", str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
         assert "'seed'" in self.single_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "data, flags, where",
+        [
+            ([tiny_config(epochs=0)], ["--seed", "3"], "config must be a JSON object"),
+            (tiny_config(epochs=0) | {"loss": 5}, ["--loss", "ce"], "config key 'loss' must be a JSON object"),
+            (tiny_config(epochs=0) | {"optimizer": None}, ["--opt", "sgd"], "config key 'optimizer' must be a JSON object"),
+        ],
+        ids=["config_list_with_seed", "loss_number_with_loss", "optimizer_null_with_opt"],
+    )
+    def test_override_flags_leave_a_non_object_to_the_reader(self, tmp_path, capsys, data, flags, where):
+        cfg_path = write_config(tmp_path, data)
+        assert main(["train", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert where in self.single_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from seglab.losses import (
     mime_weights,
     nm_grad,
     nm_loss,
+    _combined,
     _dice_weights,
     _labelled,
 )
@@ -359,6 +360,23 @@ class TestCombined:
         _, g1 = combined_loss([("dice", 1.0)], y, s, cfg)
         _, g2 = combined_loss([("dice", 2.0)], y, s, cfg)
         assert np.array_equal(g2.values, 2.0 * g1.values)
+
+    @pytest.mark.parametrize("terms", [[("ce", 1.0)], [("nm", 1.0)], [("ce", 1.0), ("nm", 1.0)]])
+    def test_unit_weight_gradient_is_positive_zero_off_the_labels(self, terms):
+        # ce's and nm's gradients are -0.0 off the labels.  The combined sum
+        # starts at +0.0, and 0.0 + -0.0 is +0.0, so a unit-weight term that
+        # skips its product still gives +0.0 there: the bytes that
+        # gradmap_ce_k*.pfm and gradmap_nm_k*.pfm store.
+        y, s = random_instance(np.random.default_rng(11))
+        off = y.values == 0.0
+        assert off.any()
+        assert np.signbit(ce_grad(y, s).values[off]).all() and np.signbit(nm_grad(y, s).values[off]).all()
+        cfg = LossConfig()
+        kernel_grad = _combined(terms, y.values, s.values, cfg)[1]
+        map_grad = combined_loss(terms, y, s, cfg)[1].values
+        for g in (kernel_grad, map_grad):
+            assert not np.signbit(g[off]).any()
+            assert (g[off] == 0.0).all()
 
     def test_unknown_loss_id_rejected(self):
         y, s = worked_case()

@@ -19,8 +19,13 @@ batch 4 with augment; a 24-epoch promise_like Adam run whose validation DSC
 never beats epoch 0, so the learning rate halves after epoch 20; a zero-epoch
 ``mime`` run with its own ``a`` and ``b`` and a 20-sample test split;
 ``compare`` over two configs differing in loss kind and optimizer, and over
-two ``mime`` configs differing in ``a`` and ``b``; ``generate``; ``audit`` for
-two seeds; and ``gradmap`` from the ``dice`` run's checkpoint.
+two ``mime`` configs differing in ``a`` and ``b``; ``generate``; ``audit``
+under the default config for seeds 3, 17 and 123456 and for 40000-40031, the
+run seeds of the benchmark's audit pool (whose template is the default
+config), and under the promise_like SGD config for seed 4; and ``gradmap``
+from the ``dice`` run's checkpoint.  So one ``diff -r`` also shows that
+``gradaudit.json`` and the printed audit line kept their bytes for every
+audit the benchmark runs.
 """
 from __future__ import annotations
 
@@ -62,13 +67,16 @@ CONFIGS = {
     "compare_mime_b": {"dataset": ACDC_48 | {"train": 6}, "loss": {"kind": "mime", "a": 1.5, "b": 0.05}, "epochs": 1, "seed": 15},
 }
 
+# Default-config audit seeds: three spread out, then the benchmark's audit pool.
+AUDIT_SEEDS = (3, 17, 123456, *range(40_000, 40_032))
+
 COMMANDS = [
     *((f"train_{name}", ["train", "--config", f"configs/{name}.json", "--out", f"train_{name}"])
       for name in ("dice", "ce", "mime", "nm", "promise_sgd", "plateau", "zero_epoch")),
     ("compare", ["compare", "--configs", "configs/compare_a.json", "configs/compare_b.json", "--out", "compare"]),
     ("compare_mime", ["compare", "--configs", "configs/compare_mime_a.json", "configs/compare_mime_b.json", "--out", "compare_mime"]),
     ("generate", ["generate", "--config", "configs/dice.json", "--out", "generate"]),
-    ("audit_s3", ["audit", "--seed", "3", "--out", "audit_s3"]),
+    *((f"audit_s{seed}", ["audit", "--seed", str(seed), "--out", f"audit_s{seed}"]) for seed in AUDIT_SEEDS),
     ("audit_s4", ["audit", "--config", "configs/promise_sgd.json", "--seed", "4", "--out", "audit_s4"]),
     ("gradmap", ["gradmap", "--checkpoint", "train_dice/best.ckpt", "--sample", "acdc_like-val-0001", "--out", "gradmap"]),
 ]
