@@ -27,22 +27,8 @@ from .grid import (
     GridShape,
     LabelMap,
     ProbabilityMap,
-    overlap_stats,
 )
-from .losses import (
-    LossConfig,
-    ce_grad,
-    ce_loss,
-    combined_loss,
-    combined_value,
-    dice_grad,
-    dice_loss,
-    mime_grad,
-    mime_loss,
-    mime_weights,
-    nm_grad,
-    nm_loss,
-)
+from .losses import LossConfig, combined_loss, combined_value
 from .gradcheck import (
     GradAuditReport,
     audit_bound,

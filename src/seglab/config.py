@@ -206,5 +206,6 @@ def config_to_dict(cfg: ExperimentConfig, include_output: bool = True) -> dict:
 def load_config(path: str | Path) -> dict:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError and JSONDecodeError
+    # ValueError: UnicodeDecodeError and JSONDecodeError; RecursionError: nesting too deep to decode
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -157,9 +157,9 @@ def audit_bound(g: GradientMap, y: LabelMap, s: ProbabilityMap, *, epsilon: floa
     """Count pixels whose |g| exceeds 2 / (|K| * (U + eps)), with |K| and U
     those of the pair (y, s) that g is the gradient at.
 
-    Zero for dice_grad(y, s) at the same epsilon; a scaled copy serves as the
-    negative control.  g on another grid or class set than y raises
-    ShapeMismatchError.
+    Zero for the dice gradient at (y, s) and the same epsilon; a scaled copy
+    serves as the negative control.  g on another grid or class set than y
+    raises ShapeMismatchError.
     """
     require_same_grid(y, g)
     require_same_grid(y, s)
@@ -203,11 +203,6 @@ class GradAuditReport:
     distinct_values: tuple[int, ...]
     bound_violations: int
     dynamic_range_db: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "distinct_values", tuple(int(c) for c in self.distinct_values))
-        if self.max_rel_error < 0 or self.bound_violations < 0:
-            raise ValidationError("audit counters must be non-negative")
 
     def write(self, path: str | Path) -> Path:
         return write_json(path, asdict(self))

@@ -3,7 +3,7 @@
 A ``LabelMap`` holds ground truth as a per-pixel class-index map, read-only,
 in the smallest unsigned dtype that fits; its range is checked once, at
 construction.  Its ``values``, the read-only one-hot float64 planes that the
-losses and ``overlap_stats`` read, are built on first access and kept.
+losses read, are built on first access and kept.
 
 Probability and gradient maps store one flat row-major float64 plane per
 class: an array of shape ``(classes.total, shape.pixel_count)`` where pixel
@@ -11,11 +11,11 @@ index ``i`` enumerates the flattened grid, copied and frozen at construction.
 Their constructors take only this flat layout; ``planes()`` and ``plane(k)``
 read it back on the grid.  Class index 0 is always the background.
 
-``overlap_stats`` returns the per-class intersection I and union sum U of a
-(label, probability) pair as a plain pair of arrays.  ``overlap_sums``, under
-it and under the dice loss, reduces each class row of the raw arrays in one
-pass, with no temporary, and reduces a row of a probe stack as it reduces the
-same row of a map, so each probe's (I, U) equal the map's.
+``overlap_sums`` returns the per-class intersection I and union sum U of raw
+one-hot labels and probabilities as a plain pair of arrays, for the dice loss
+and the gradient bound audit.  It reduces each class row in one pass, with no
+temporary, and reduces a row of a probe stack as it reduces the same row of a
+map, so each probe's (I, U) equal the map's.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
     "LabelMap",
     "ProbabilityMap",
     "GradientMap",
-    "overlap_stats",
     "PROB_SLACK",
 ]
 
@@ -196,12 +195,6 @@ def overlap_sums(y: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``s`` may carry leading axes, such as the probe axis of a probe stack.
     I is one contraction, so nothing of the shape of ``s`` is built."""
     return np.einsum("kp,...kp->...k", y, s), y.sum(axis=-1) + s.sum(axis=-1)
-
-
-def overlap_stats(y: LabelMap, s: ProbabilityMap) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class (I, U) of a label and probability map on the same grid."""
-    require_same_grid(y, s)
-    return overlap_sums(y.values, s.values)
 
 
 def _one_hot(idx: np.ndarray, total: int) -> np.ndarray:

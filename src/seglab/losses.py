@@ -1,14 +1,17 @@
 """Forward values and analytic gradients for the segmentation losses.
 
-All losses average over the full class set, background included, and every
-``*_grad`` function returns the derivative of the matching ``*_loss`` value so
-the pair survives finite-difference checking.  The dice denominators carry the
+The loss ids are ``LOSS_IDS``: ``("ce", "dice", "mime", "nm")``.  A loss is a
+term set, (loss id, weight) pairs, and a single loss is ``((id, 1.0),)``.
+``combined_value`` gives a term set's value and ``combined_loss`` its value
+and gradient.  All losses average over the full class set, background
+included, and each gradient is the derivative of the matching value, so the
+pair survives finite-difference checking.  The dice denominators carry the
 same epsilon guard in the loss and in the gradient; the soft-overlap loss
 ("mime") and its fully simplified multi-class variant ("nm") are linear in the
 probabilities, so their gradients are constant maps.
 
-Every value function reduces only over the last two axes of the
-probabilities.  Given a ``ProbabilityMap`` it returns a float; given a raw
+Every value reduces only over the last two axes of the probabilities.
+Given a ``ProbabilityMap``, ``combined_value`` returns a float; given a raw
 float64 stack of probes shaped ``(n, classes.total, pixel_count)``, such as the
 finite-difference oracle evaluates, it returns the ``n`` values, each equal to
 the float the same probe gives as a map.
@@ -17,7 +20,8 @@ Each loss's value and gradient are computed once, by a private kernel on raw
 arrays: one-hot labels ``yv`` shaped ``(classes.total, pixel_count)`` and
 probabilities ``sv`` shaped like ``yv`` (or a probe stack, for the value
 alone).  A kernel returns ``(value, gradient)``; ``grad=False`` lets it skip
-the gradient and return None for it.  Every per-class sum over pixels is one
+the gradient and return None for it.  ``_KERNELS`` maps each loss id to its
+kernel, and is the only loss table.  Every per-class sum over pixels is one
 contraction on the raw arrays, with no temporary shaped like the
 probabilities, and reduces each class row of a stack as it reduces that row
 of a map, so each stack value is the float the same probe gives as a map.
@@ -32,10 +36,11 @@ gather, so it costs no array beyond it; the dice value takes its class mean
 as ``.sum(axis=-1) / classes.total``, the arithmetic of ``.mean``.
 ``_combined`` sums the kernels of a term set, each sum started at 0.0.  A
 unit weight skips its product, since ``x * 1.0 == x`` exactly; the 0.0 start
-stays, because ``0.0 + -0.0`` is ``+0.0``: the ce and nm gradients are -0.0
-off the labels, and their gradient maps store +0.0 there.  The public
-functions check the grid and wrap its result, and the training step calls
-``_combined`` directly.
+stays, because ``0.0 + -0.0`` is ``+0.0``: the ce and nm kernels' gradients
+are -0.0 off the labels, and their gradient maps store +0.0 there.
+``combined_value`` and ``combined_loss`` check the terms and the grid and
+wrap ``_combined``'s result, and the training step calls ``_combined``
+directly.
 """
 from __future__ import annotations
 
@@ -49,17 +54,7 @@ from .grid import GradientMap, LabelMap, ProbabilityMap, overlap_sums, require_s
 
 __all__ = [
     "LossConfig",
-    "LOSSES",
     "LOSS_IDS",
-    "dice_loss",
-    "dice_grad",
-    "ce_loss",
-    "ce_grad",
-    "mime_weights",
-    "mime_loss",
-    "mime_grad",
-    "nm_loss",
-    "nm_grad",
     "combined_value",
     "combined_loss",
 ]
@@ -82,6 +77,8 @@ def _dice_weights(intersection: np.ndarray, union_sum: np.ndarray, eps: float, t
 
 
 def _dice(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    """Class-averaged soft dice, mean_k (1 - 2 I_k / (U_k + eps)); its gradient
+    takes two values per class plane (``_dice_weights``)."""
     intersection, union_sum = overlap_sums(yv, sv)
     # the arithmetic of .mean(axis=-1), without its Python wrapper
     value = (1.0 - 2.0 * intersection / (union_sum + cfg.epsilon)).sum(axis=-1) / yv.shape[0]
@@ -99,6 +96,8 @@ def _labelled(yv: np.ndarray, sv: np.ndarray) -> np.ndarray:
 
 
 def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    """Cross-entropy averaged over classes and pixels; its gradient is
+    -y / (|K| |pixels| s), zero off the labels."""
     norm = yv.size
     p = _labelled(yv, sv)  # a fresh array, so the clamp and the log can overwrite it
     value = -np.log(np.maximum(p, CE_CLAMP, out=p), out=p).sum(axis=-1) / norm
@@ -106,10 +105,12 @@ def _ce(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 def _mime_weights(yv: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The mime weight map omega = -a*y + b*(1 - y), shaped like yv."""
     return -a * yv + b * (1.0 - yv)
 
 
 def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    """The inner product omega . s; its gradient is omega, whatever s."""
     w = _mime_weights(yv, cfg.a, cfg.b)
     # per class first, then over classes: one contraction over both axes
     # gives a stack a value that can differ from the map's in the last bit
@@ -117,10 +118,13 @@ def _mime(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
 
 
 def _nm(yv: np.ndarray, sv: np.ndarray, cfg: LossConfig, grad: bool = True):
+    """The fully simplified linear loss -y . s, safe for training only when
+    K >= 2; its gradient is exactly -y."""
     return -_labelled(yv, sv).sum(axis=-1), (-yv if grad else None)
 
 
 _KERNELS = {"ce": _ce, "dice": _dice, "mime": _mime, "nm": _nm}
+LOSS_IDS = tuple(_KERNELS)
 
 
 def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -128,8 +132,8 @@ def _checked_terms(terms: Sequence[tuple[str, float]] | Iterable[tuple[str, floa
     if not terms:
         raise ConfigError("loss key 'terms' needs at least one (loss id, weight) term")
     for loss_id, _ in terms:
-        if loss_id not in _KERNELS:
-            raise ConfigError(f"loss key 'terms' names unknown loss id {loss_id!r}; expected one of {tuple(_KERNELS)}")
+        if loss_id not in LOSS_IDS:
+            raise ConfigError(f"loss key 'terms' names unknown loss id {loss_id!r}; expected one of {LOSS_IDS}")
     return terms
 
 
@@ -155,9 +159,8 @@ class LossConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
-        # _KERNELS, not LOSS_IDS: the default instance is built at import, before LOSS_IDS
-        if self.kind not in (*_KERNELS, "combined"):
-            raise ConfigError(f"loss key 'kind' must be one of {(*_KERNELS, 'combined')}, got {self.kind!r}")
+        if self.kind not in (*LOSS_IDS, "combined"):
+            raise ConfigError(f"loss key 'kind' must be one of {(*LOSS_IDS, 'combined')}, got {self.kind!r}")
         if self.kind == "combined":
             if not all(lam > 0 for _, lam in _checked_terms(self.terms or ())):
                 raise ConfigError(f"loss key 'terms' needs positive weights, got {list(self.terms)}")
@@ -201,90 +204,17 @@ def _planes(y: LabelMap, s: Probs) -> np.ndarray:
     return s
 
 
-def _value(v: np.ndarray) -> float | np.ndarray:
-    """A map's loss as a float, a stack's as its array of values."""
-    return float(v) if v.ndim == 0 else v
-
-
-def _loss(kernel, y: LabelMap, s: Probs, cfg: LossConfig) -> float | np.ndarray:
-    return _value(kernel(y.values, _planes(y, s), cfg, grad=False)[0])
-
-
-def _grad(kernel, y: LabelMap, s: ProbabilityMap, cfg: LossConfig) -> GradientMap:
-    require_same_grid(y, s)
-    return GradientMap(y.shape, y.classes, kernel(y.values, s.values, cfg)[1])
-
-
-def dice_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
-    """Class-averaged soft dice loss: mean_k (1 - 2 I_k / (U_k + eps))."""
-    return _loss(_dice, y, s, cfg)
-
-
-def dice_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
-    """Analytic dice gradient; two values per class plane.
-
-    Foreground pixels of class k get -2 (U_k - I_k) / (U_k + eps)^2, background
-    pixels get 2 I_k / (U_k + eps)^2, both scaled by the 1/|classes| averaging
-    factor of the loss.
-    """
-    return _grad(_dice, y, s, cfg)
-
-
-def ce_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
-    """Cross-entropy averaged over classes and pixels."""
-    return _loss(_ce, y, s, cfg)
-
-
-def ce_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
-    """Cross-entropy gradient: -y / (|classes| |pixels| s), zero off the labels."""
-    return _grad(_ce, y, s, cfg)
-
-
-def mime_weights(y: LabelMap, a: float, b: float) -> np.ndarray:
-    """Weight map omega = -a*y + b*(1 - y) with a, b > 0, shaped like y.values."""
-    if not (a > 0 and b > 0):
-        raise ValidationError(f"mime weights must be positive, got a={a}, b={b}")
-    return _mime_weights(y.values, a, b)
-
-
-def mime_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
-    """Inner product of the flattened weight map with the probabilities."""
-    return _loss(_mime, y, s, cfg)
-
-
-def mime_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
-    """The mime gradient is the weight map itself, independent of s."""
-    return _grad(_mime, y, s, cfg)
-
-
-def nm_loss(y: LabelMap, s: Probs, cfg: LossConfig = LossConfig()) -> float | np.ndarray:
-    """Fully simplified linear loss -y.s; safe for training only when K >= 2."""
-    return _loss(_nm, y, s, cfg)
-
-
-def nm_grad(y: LabelMap, s: ProbabilityMap, cfg: LossConfig = LossConfig()) -> GradientMap:
-    """Gradient of nm_loss: exactly -y."""
-    return _grad(_nm, y, s, cfg)
-
-
-LOSSES = {
-    "ce": (ce_loss, ce_grad),
-    "dice": (dice_loss, dice_grad),
-    "mime": (mime_loss, mime_grad),
-    "nm": (nm_loss, nm_grad),
-}
-LOSS_IDS = tuple(LOSSES)
-
-
 def combined_value(
     terms: Sequence[tuple[str, float]] | Iterable[tuple[str, float]],
     y: LabelMap,
     s: Probs,
     cfg: LossConfig = LossConfig(),
 ) -> float | np.ndarray:
-    """Weighted sum of loss values, sum_j lambda_j L_j, for a map or a probe stack."""
+    """Weighted sum of loss values, sum_j lambda_j L_j: a float for a map, the
+    array of the n values for a probe stack."""
     terms = _checked_terms(terms)
-    return _value(_combined(terms, y.values, _planes(y, s), cfg, grad=False)[0])
+    value = _combined(terms, y.values, _planes(y, s), cfg, grad=False)[0]
+    return float(value) if value.ndim == 0 else value
 
 
 def combined_loss(

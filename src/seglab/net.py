@@ -393,7 +393,8 @@ def load_checkpoint(path: str | Path) -> tuple[SegNet, dict]:
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        # ValueError: UnicodeDecodeError and JSONDecodeError; RecursionError: nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"unreadable checkpoint header in {path}: {exc}") from exc
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
             raise ValidationError(f"unrecognized checkpoint format in {path}")

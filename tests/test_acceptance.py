@@ -21,14 +21,7 @@ from seglab.gradcheck import (
     max_relative_error,
 )
 from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap
-from seglab.losses import (
-    LossConfig,
-    ce_grad,
-    combined_loss,
-    combined_value,
-    dice_grad,
-    dice_loss,
-)
+from seglab.losses import LossConfig, combined_loss, combined_value
 from seglab.metrics import clece, dsc
 from seglab.net import SegNet, backward, forward, softmax, softmax_backward
 from seglab.optim import (
@@ -131,7 +124,7 @@ def test_criterion_2_two_valued_gradient():
     passed = 0
     for _ in range(100):
         y, s = random_instance(rng)
-        counts = audit_two_valued(dice_grad(y, s), tol=1e-12)
+        counts = audit_two_valued(combined_loss(LOSS_TERM_SETS["dice"], y, s)[1], tol=1e-12)
         sizes = y.foreground_sizes()
         mixed = [
             k
@@ -150,7 +143,7 @@ def test_criterion_3_gradient_bound():
     control_caught = True
     for i in range(1000):
         y, s = random_instance(rng, max_pixels=32)
-        g = dice_grad(y, s, cfg)
+        g = combined_loss(LOSS_TERM_SETS["dice"], y, s, cfg)[1]
         violations += audit_bound(g, y, s, epsilon=cfg.epsilon)
         if i < 10:
             scaled = GradientMap(g.shape, g.classes, 10.0 * g.values)
@@ -168,7 +161,7 @@ def test_criterion_3_gradient_bound():
 def test_criterion_4_counterintuitive_cases():
     # (a) disjoint supports: background gradient exactly zero
     y, s = binary_pair([1, 1, 0, 0], [0, 0, 1, 1])
-    g = dice_grad(y, s)
+    g = combined_loss(LOSS_TERM_SETS["dice"], y, s)[1]
     zero_bg = (
         g.values[1, 2] == 0.0
         and g.values[1, 3] == 0.0
@@ -181,7 +174,7 @@ def test_criterion_4_counterintuitive_cases():
     for n in (1, 2, 3, 7, 16):
         fore = [1] * n + [0] * (3 * n)
         y, s = binary_pair(fore, fore)
-        g = dice_grad(y, s, cfg)
+        g = combined_loss(LOSS_TERM_SETS["dice"], y, s, cfg)[1]
         class_avg = 1.0 / 2.0
         # foreground plane: |fg| = n, so -1/(2n) on its pixels, +1/(2n) off them;
         # background plane has |fg| = 3n and mirrors with -1/(6n)
@@ -201,8 +194,8 @@ def test_criterion_5_dynamic_range_property():
     wins = 0
     for _ in range(100):
         y, s = noisy_prediction_instance(rng)
-        dice_range = dynamic_range_db(dice_grad(y, s))
-        ce_range = dynamic_range_db(ce_grad(y, s))
+        dice_range = dynamic_range_db(combined_loss(LOSS_TERM_SETS["dice"], y, s)[1])
+        ce_range = dynamic_range_db(combined_loss(LOSS_TERM_SETS["ce"], y, s)[1])
         if dice_range < ce_range:
             wins += 1
     _report(5, wins >= 95, f"dice range narrower than cross-entropy in {wins}/100 trials (need >=95)")
@@ -332,7 +325,7 @@ def test_criterion_8_metric_suite():
         y = LabelMap(rng.permutation(idx), classes)
         pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
         s = ProbabilityMap(pred.shape, pred.classes, pred.values)
-        gap = abs((1.0 - dice_loss(y, s, cfg)) - dsc(y, pred, eps=1e-12).mean())
+        gap = abs((1.0 - combined_value(LOSS_TERM_SETS["dice"], y, s, cfg)) - dsc(y, pred, eps=1e-12).mean())
         worst_consistency = max(worst_consistency, gap)
 
     ok = worst_dsc < 1e-12 and worst_clece < 1e-12 and worst_consistency < 1e-9
@@ -340,7 +333,7 @@ def test_criterion_8_metric_suite():
         8,
         ok,
         f"dsc oracle gap {worst_dsc:.2e}, clece oracle gap {worst_clece:.2e} (<1e-12); "
-        f"1-dice_loss vs mean dsc gap {worst_consistency:.2e} (<1e-9)",
+        f"1 - dice loss vs mean dsc gap {worst_consistency:.2e} (<1e-9)",
     )
 
 

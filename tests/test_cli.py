@@ -822,6 +822,23 @@ class TestBadInput:
         assert main([arg.format(tmp=tmp_path, cfg=cfg_path) for arg in argv]) == 2
         self.single_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "command, source, error",
+        [
+            ("train", ["--config"], "cannot read config"),
+            ("audit", ["--config"], "cannot read config"),
+            ("gradmap", ["--sample", "acdc_like-val-0000", "--checkpoint"], "unreadable checkpoint header"),
+        ],
+        ids=["train_config", "audit_config", "gradmap_checkpoint_header"],
+    )
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys, command, source, error):
+        # too deep for the JSON decoder, which raises RecursionError
+        nested = tmp_path / "nested"
+        nested.write_bytes(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        assert main([command, *source, str(nested), "--out", str(tmp_path / "out")]) == 2
+        assert error in self.single_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_generate_of_a_huge_split_writes_nothing(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, tiny_config(dataset=TINY_DATASET | {"train": 2**70}))
         assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "data")]) == 2

@@ -18,53 +18,46 @@ from seglab.gradcheck import (
     finite_diff_grad,
     max_relative_error,
 )
-from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, overlap_stats
+from seglab.grid import ClassSet, GradientMap, GridShape, LabelMap, ProbabilityMap, overlap_sums
 from seglab.imgio import read_pfm
-from seglab.losses import (
-    LOSSES,
-    LossConfig,
-    ce_grad,
-    ce_loss,
-    combined_value,
-    dice_grad,
-    dice_loss,
-    mime_loss,
-    mime_weights,
-)
+from seglab.losses import LOSS_IDS, LossConfig, combined_loss, combined_value, _mime_weights
 from seglab.metrics import argmax_predict  # noqa: F401  (keeps import graph honest)
 
 from .oracles import binary_pair, finite_diff_loop, noisy_prediction_instance, random_instance
 
-# Every table entry on its own, and the ce+dice combination the paper trains with.
-VALUE_FNS = {lid: value_fn for lid, (value_fn, _) in LOSSES.items()} | {
-    "ce+dice": lambda y, s, cfg: combined_value((("ce", 1.0), ("dice", 1.0)), y, s, cfg)
-}
+# Each loss alone, as its single-term set.
+CE = (("ce", 1.0),)
+DICE = (("dice", 1.0),)
+MIME = (("mime", 1.0),)
+
+# Every loss on its own, and the ce+dice combination the paper trains with.
+TERM_SETS = {lid: ((lid, 1.0),) for lid in LOSS_IDS} | {"ce+dice": CE + DICE}
 
 
 class TestFiniteDiff:
     def test_linear_loss_recovered_to_machine_precision(self):
         rng = np.random.default_rng(1)
         y, s = random_instance(rng, max_pixels=16)
-        w = mime_weights(y, 1.9, 0.1)
+        w = _mime_weights(y.values, 1.9, 0.1)
         cfg = LossConfig(a=1.9, b=0.1)
         for h in (1e-3, 1e-5, 1e-7):
-            g = finite_diff_grad(lambda p: mime_loss(y, p, cfg), s, h)
+            g = finite_diff_grad(lambda p: combined_value(MIME, y, p, cfg), s, h)
             # no truncation error for a linear loss; only |L| * ulp / h remains
             assert np.abs(g.values - w).max() < 1e-7
 
     def test_dice_on_worked_case(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
-        analytic = dice_grad(y, s)
-        numeric = finite_diff_grad(lambda p: dice_loss(y, p), s, 1e-5)
+        analytic = combined_loss(DICE, y, s)[1]
+        numeric = finite_diff_grad(lambda p: combined_value(DICE, y, p), s, 1e-5)
         assert max_relative_error(analytic, numeric) < 1e-6
 
     def test_ce_at_half_half(self):
         y = LabelMap(np.array([1]), ClassSet(1))
         s = ProbabilityMap(GridShape((1,)), ClassSet(1), np.array([[0.5], [0.5]]))
-        numeric = finite_diff_grad(lambda p: ce_loss(y, p), s, 1e-5)
+        numeric = finite_diff_grad(lambda p: combined_value(CE, y, p), s, 1e-5)
         assert numeric.values[1, 0] == pytest.approx(-1.0, rel=1e-6)
         assert numeric.values[0, 0] == pytest.approx(0.0, abs=1e-9)
-        assert max_relative_error(ce_grad(y, s), numeric) < 1e-6
+        assert max_relative_error(combined_loss(CE, y, s)[1], numeric) < 1e-6
 
     def test_non_finite_loss_raises_oracle_error(self):
         _, s = binary_pair([1, 0], [0.5, 0.5])
@@ -120,26 +113,26 @@ class TestAgainstLoop:
     """The stacked oracle reproduces the per-coordinate loop over maps bit for bit."""
 
     @pytest.mark.parametrize("block", [PROBE_BLOCK, 1000, 1], ids=["one_stack", "uneven_stacks", "per_coordinate"])
-    @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
-    def test_matches_loop_exactly(self, monkeypatch, value_fn, block):
+    @pytest.mark.parametrize("terms", TERM_SETS.values(), ids=list(TERM_SETS))
+    def test_matches_loop_exactly(self, monkeypatch, terms, block):
         monkeypatch.setattr(gradcheck, "PROBE_BLOCK", block)
         cfg = LossConfig(a=2.5, b=0.3)
         rng = np.random.default_rng(12)
         for _ in range(4):
             y, s = random_instance(rng, max_pixels=24)
-            stacked = finite_diff_grad(lambda p: value_fn(y, p, cfg), s)
-            looped = finite_diff_loop(lambda m: value_fn(y, m, cfg), s, FD_STEP)
+            stacked = finite_diff_grad(lambda p: combined_value(terms, y, p, cfg), s)
+            looped = finite_diff_loop(lambda m: combined_value(terms, y, m, cfg), s, FD_STEP)
             assert np.array_equal(stacked.values, looped.values)
 
-    @pytest.mark.parametrize("value_fn", VALUE_FNS.values(), ids=list(VALUE_FNS))
-    def test_instance_larger_than_one_block(self, value_fn):
+    @pytest.mark.parametrize("terms", TERM_SETS.values(), ids=list(TERM_SETS))
+    def test_instance_larger_than_one_block(self, terms):
         rng = np.random.default_rng(13)
         y = LabelMap(rng.integers(0, 4, 96), ClassSet(3))
         s = ProbabilityMap(y.shape, y.classes, rng.uniform(0.05, 0.95, (4, 96)))
         assert 2 * s.values.size**2 > PROBE_BLOCK  # its 768 probes of 384 values take several stacks
         cfg = LossConfig()
-        stacked = finite_diff_grad(lambda p: value_fn(y, p, cfg), s, 1e-4)
-        looped = finite_diff_loop(lambda m: value_fn(y, m, cfg), s, 1e-4)
+        stacked = finite_diff_grad(lambda p: combined_value(terms, y, p, cfg), s, 1e-4)
+        looped = finite_diff_loop(lambda m: combined_value(terms, y, m, cfg), s, 1e-4)
         assert np.array_equal(stacked.values, looped.values)
 
 
@@ -150,7 +143,7 @@ class TestTwoValued:
         while seen < 100:
             y, s = random_instance(rng)
             sizes = y.foreground_sizes()
-            counts = audit_two_valued(dice_grad(y, s))
+            counts = audit_two_valued(combined_loss(DICE, y, s)[1])
             for k in range(y.classes.total):
                 if 0 < sizes[k] < y.shape.pixel_count:
                     assert counts[k] == 2
@@ -160,14 +153,14 @@ class TestTwoValued:
         # class 2 never occurs: its plane has I=0, so a single gradient value
         y = LabelMap(np.array([0, 1, 1]), ClassSet(2))
         s = ProbabilityMap(GridShape((3,)), ClassSet(2), np.full((3, 3), 0.2))
-        counts = audit_two_valued(dice_grad(y, s))
+        counts = audit_two_valued(combined_loss(DICE, y, s)[1])
         assert counts[2] == 1
 
     def test_ce_gradient_generically_exceeds_two(self):
         rng = np.random.default_rng(3)
         y = LabelMap(rng.integers(0, 2, 32), ClassSet(1))
         s = ProbabilityMap(GridShape((32,)), ClassSet(1), rng.uniform(0.1, 0.9, (2, 32)))
-        counts = audit_two_valued(ce_grad(y, s))
+        counts = audit_two_valued(combined_loss(CE, y, s)[1])
         assert max(counts) > 2
 
     def test_tolerance_merges_close_values(self):
@@ -185,20 +178,20 @@ class TestTwoValued:
 class TestBound:
     def test_worked_case_has_no_violations(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
-        g = dice_grad(y, s)
+        g = combined_loss(DICE, y, s)[1]
         assert audit_bound(g, y, s) == 0
 
     def test_1000_random_instances(self):
         rng = np.random.default_rng(4)
         for _ in range(1000):
             y, s = random_instance(rng, max_pixels=24)
-            g = dice_grad(y, s)
+            g = combined_loss(DICE, y, s)[1]
             assert audit_bound(g, y, s) == 0
 
     def test_scaled_gradient_is_caught(self):
         rng = np.random.default_rng(5)
         y, s = random_instance(rng)
-        g = dice_grad(y, s)
+        g = combined_loss(DICE, y, s)[1]
         scaled = GradientMap(g.shape, g.classes, 10.0 * g.values)
         assert audit_bound(scaled, y, s) > 0
 
@@ -206,7 +199,7 @@ class TestBound:
         rng = np.random.default_rng(6)
         for _ in range(20):
             y, s = random_instance(rng)
-            _, union = overlap_stats(y, s)
+            _, union = overlap_sums(y.values, s.values)
             limit = 2.0 / (y.classes.total * (union + LossConfig.epsilon))
             factors = rng.choice([0.99, 1.01], size=s.values.shape)
             g = GradientMap(s.shape, s.classes, factors * limit[:, None])
@@ -214,7 +207,7 @@ class TestBound:
 
     def test_gradient_on_another_grid_rejected(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
-        g = dice_grad(y, s)
+        g = combined_loss(DICE, y, s)[1]
         square = GradientMap(GridShape((2, 2)), g.classes, g.values)
         with pytest.raises(ShapeMismatchError):
             audit_bound(square, y, s)
@@ -222,7 +215,7 @@ class TestBound:
     def test_epsilon_is_keyword_only(self):
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
         with pytest.raises(TypeError):
-            audit_bound(dice_grad(y, s), y, s, 0.5)
+            audit_bound(combined_loss(DICE, y, s)[1], y, s, 0.5)
 
 
 class TestDynamicRange:
@@ -246,7 +239,7 @@ class TestDynamicRange:
     def test_scale_invariance(self, seed, c):
         rng = np.random.default_rng(seed)
         y, s = random_instance(rng)
-        g = dice_grad(y, s)
+        g = combined_loss(DICE, y, s)[1]
         scaled = GradientMap(g.shape, g.classes, c * g.values)
         assert dynamic_range_db(scaled) == pytest.approx(dynamic_range_db(g), abs=1e-9)
 
@@ -255,7 +248,7 @@ class TestDynamicRange:
         wins = 0
         for _ in range(100):
             y, s = noisy_prediction_instance(rng)
-            if dynamic_range_db(dice_grad(y, s)) < dynamic_range_db(ce_grad(y, s)):
+            if dynamic_range_db(combined_loss(DICE, y, s)[1]) < dynamic_range_db(combined_loss(CE, y, s)[1]):
                 wins += 1
         assert wins >= 95
 
@@ -283,7 +276,7 @@ class TestExport:
         y, s = binary_pair([1, 1, 0, 0], [1, 0, 0, 0])
         y2 = LabelMap(y.indices.reshape(2, 2), y.classes)
         s2 = type(s)(GridShape((2, 2)), s.classes, s.values)
-        g = dice_grad(y2, s2, LossConfig(epsilon=1e-12))
+        g = combined_loss(DICE, y2, s2, LossConfig(epsilon=1e-12))[1]
         paths = export_gradient_map(g, tmp_path / "worked")
         fg_plane = read_pfm(paths[1])
         assert fg_plane[0, 0] == pytest.approx(-4 / 9 * 0.5, rel=1e-6)

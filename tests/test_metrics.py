@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seglab.errors import ValidationError
 from seglab.grid import PROB_SLACK, ClassSet, GridShape, LabelMap, ProbabilityMap, overlap_sums
-from seglab.losses import LossConfig, dice_loss
+from seglab.losses import LossConfig, combined_value
 from seglab.metrics import (
     DSC_EPS,
     BinStat,
@@ -169,7 +169,7 @@ class TestCrossModuleConsistency:
             y = LabelMap(rng.permutation(idx), classes)
             pred = LabelMap(rng.integers(0, classes.total, pixels), classes)
             s = ProbabilityMap(pred.shape, pred.classes, pred.values)
-            loss = dice_loss(y, s, cfg)
+            loss = combined_value((("dice", 1.0),), y, s, cfg)
             mean_all_classes = dsc(y, pred, eps=1e-12).mean()
             assert abs((1.0 - loss) - mean_all_classes) < 1e-9
 

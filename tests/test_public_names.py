@@ -1,7 +1,9 @@
-"""Every exported name resolves: each module's __all__ and the package's imports."""
+"""Every exported name resolves: each module's __all__, the package's imports,
+and each backquoted ``seglab.<module>[.<name>...]`` reference in README.md."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,8 @@ import seglab
 
 INIT = Path(seglab.__file__)
 MODULES = sorted(m.name for m in pkgutil.iter_modules([str(INIT.parent)]))
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_REFERENCE = re.compile(r"`(seglab(?:\.\w+)+)`")
 
 
 def package_imports() -> list[str]:
@@ -35,3 +39,17 @@ def test_package_import_resolves(qualified):
     module_name, name = qualified.split(".")
     assert hasattr(importlib.import_module(f"seglab.{module_name}"), name)
     assert hasattr(seglab, name)
+
+
+def readme_references() -> list[str]:
+    """Each distinct backquoted ``seglab.<module>[.<name>...]`` in README.md."""
+    return sorted(set(README_REFERENCE.findall(README.read_text(encoding="utf-8"))))
+
+
+@pytest.mark.parametrize("reference", readme_references())
+def test_readme_reference_resolves(reference):
+    _, module_name, *names = reference.split(".")
+    target = importlib.import_module(f"seglab.{module_name}")
+    for name in names:
+        assert hasattr(target, name), f"README.md names {reference}, which does not resolve"
+        target = getattr(target, name)
